@@ -22,13 +22,13 @@ either finishes or cancels the queue before releasing the allocation.
 from __future__ import annotations
 
 import threading
-import time
 import zlib
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from pilotq.backends import PilotAllocation, ResourceBackend
+from pilotq.backends import PilotAllocation, ResourceBackend, run_timed, simulate_readout
 from pilotq.clock import Clock, WallClock
+from pilotq.codec import JsonRecord
 from pilotq.errors import AgentStopped, ValidationError, WorkerOversubscription
 from pilotq.events import EventLog
 from pilotq.model import (
@@ -42,34 +42,18 @@ from pilotq.model import (
     TaskResult,
     TaskState,
 )
-from pilotq.qsim.simulate import (
-    DEFAULT_MEMORY_CAP_BYTES,
-    expectation,
-    probabilities,
-    run_circuit,
-    sample,
-)
+from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES
 from pilotq.store import TaskStore
 
 
 @dataclass(frozen=True)
-class AgentMetrics:
+class AgentMetrics(JsonRecord):
     tasks_done: int = 0
     tasks_failed: int = 0
     busy_cores: int = 0
     queue_depth: int = 0
     total_exec_s: float = 0.0
     agent_overhead_s: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tasks_done": self.tasks_done,
-            "tasks_failed": self.tasks_failed,
-            "busy_cores": self.busy_cores,
-            "queue_depth": self.queue_depth,
-            "total_exec_s": self.total_exec_s,
-            "agent_overhead_s": self.agent_overhead_s,
-        }
 
 
 def task_seed(task_id: str) -> int:
@@ -278,44 +262,10 @@ class PilotAgent:
 
     # --- execution ----------------------------------------------------------------
 
-    def execute_task(self, record: TaskRecord) -> TaskRecord:
-        """Run one task synchronously on the calling thread.
-
-        The record may be NEW (it is scheduled here) or already SCHEDULED
-        for this pilot. Worker-slot admission applies, so concurrent calls
-        cannot oversubscribe the allocation.
-        """
-        with self._cond:
-            if self._stop_mode is not None:
-                raise AgentStopped(f"agent {self.name} is stopped")
-        if record.task_id not in self._store:
-            self._store.add(record)
-        need = record.description.requires_cores
-        held = min(need, self._workers)
-        with self._cond:
-            while self._free_slots < held:
-                self._cond.wait(timeout=0.1)
-            self._free_slots -= held
-            self._running_count += 1
-        try:
-            return self._run_one(record.task_id, record.description)
-        finally:
-            with self._cond:
-                self._free_slots += held
-                self._running_count -= 1
-                self._cond.notify_all()
-
     def _run_one(self, tid: str, desc: TaskDescription) -> TaskRecord | None:
         store = self._store
-        current = store.get(tid)
-        if current.state is TaskState.NEW:
-            rec = store.try_advance(tid, "schedule", pilot=self.name)
-            if rec is None:
-                return None  # canceled between queue pop and schedule
-        elif current.state is TaskState.SCHEDULED:
-            rec = current
-        else:
-            return None
+        if store.try_advance(tid, "schedule", pilot=self.name) is None:
+            return None  # canceled between queue pop and schedule
 
         fail_fast: str | None = None
         if desc.requires_cores > self._workers:
@@ -389,10 +339,8 @@ class PilotAgent:
             fn = self._functions.get(payload.function)
             if fn is None:
                 raise ValidationError(f"no registered function named {payload.function!r}")
-            self._clock.sleep(latency)
-            t0 = time.perf_counter()
-            data = fn(*payload.args, **payload.kwargs)
-            return TaskResult(data=data, exec_s=latency + (time.perf_counter() - t0))
+            data, exec_s = run_timed(self._clock, latency, fn, *payload.args, **payload.kwargs)
+            return TaskResult(data=data, exec_s=exec_s)
 
         qp: QuantumPayload = desc.payload
         if self.allocation.backend_kind is BackendKind.QPU_SIM:
@@ -406,17 +354,11 @@ class PilotAgent:
             )
 
         # classical pilot: simulate in-agent
-        self._clock.sleep(latency)
-        t0 = time.perf_counter()
-        state = run_circuit(qp.circuit, memory_cap_bytes=self._memory_cap)
-        if qp.observable is not None:
-            value = expectation(state, qp.observable)
-            return TaskResult(value=value, exec_s=latency + (time.perf_counter() - t0))
-        if qp.shots > 0:
-            counts = sample(state, qp.shots, task_seed(tid))
-            return TaskResult(counts=counts, exec_s=latency + (time.perf_counter() - t0))
-        probs = tuple(float(p) for p in probabilities(state))
-        return TaskResult(probabilities=probs, exec_s=latency + (time.perf_counter() - t0))
+        result, exec_s = run_timed(
+            self._clock, latency, simulate_readout,
+            qp.circuit, qp.shots, task_seed(tid), qp.observable, self._memory_cap,
+        )
+        return replace(result, exec_s=exec_s)
 
 
 def start_agent(

@@ -7,12 +7,15 @@ becomes usable. Per-backend capacity ceilings are optional; exceeding one
 raises CapacityError. Releasing the same allocation twice raises
 DoubleRelease.
 
-qpu_execute runs the circuit on the built-in simulator and samples counts,
-and additionally models per-task QPU behaviour: a queue wait drawn from the
-pilot's queue model and the configured per-task latency, both of which are
-slept on the backend's clock. The reported exec_s is the modelled latency
-plus the host's wall time for simulating and sampling the circuit, so it
-also grows with the circuit's size and with CPU contention on the host.
+Task execution is shared with the agents. `run_timed` is the one timing
+policy: it sleeps the pilot's modelled per-task latency on the clock, then
+runs the work and reports exec_s = latency + the host's wall time for the
+work, so exec_s also grows with the circuit's size and with CPU contention
+on the host. `simulate_readout` is the one circuit path: run the circuit on
+the built-in simulator, then sample counts, take an expectation value or
+take the output probabilities. A classical pilot's agent calls both
+directly; qpu_execute calls them after sleeping a queue wait drawn from
+the pilot's queue model, and reports that wait separately.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pilotq.clock import Clock, WallClock
+from pilotq.codec import JsonRecord
 from pilotq.errors import (
     CapacityError,
     DoubleRelease,
@@ -33,14 +37,21 @@ from pilotq.errors import (
 from pilotq.model import (
     BackendKind,
     PilotDescription,
+    TaskResult,
     validate_pilot_description,
 )
-from pilotq.qsim.circuit import Circuit
-from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES, run_circuit, sample
+from pilotq.qsim.circuit import Circuit, PauliObservable
+from pilotq.qsim.simulate import (
+    DEFAULT_MEMORY_CAP_BYTES,
+    expectation,
+    probabilities,
+    run_circuit,
+    sample,
+)
 
 
 @dataclass(frozen=True)
-class PilotAllocation:
+class PilotAllocation(JsonRecord):
     pilot_name: str
     backend_kind: BackendKind
     total_cores: int
@@ -52,34 +63,12 @@ class PilotAllocation:
     def __post_init__(self):
         object.__setattr__(self, "backend_kind", BackendKind(self.backend_kind))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pilot_name": self.pilot_name,
-            "backend_kind": self.backend_kind.value,
-            "total_cores": self.total_cores,
-            "total_gpus": self.total_gpus,
-            "qpu_qubits": self.qpu_qubits,
-            "granted_at_s": self.granted_at_s,
-            "expires_at_s": self.expires_at_s,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PilotAllocation":
-        return cls(**{**d, "backend_kind": BackendKind(d["backend_kind"])})
-
 
 @dataclass(frozen=True)
-class QpuExecutionReport:
+class QpuExecutionReport(JsonRecord):
     counts: dict[str, int]
     queue_wait_s: float
     exec_s: float
-
-    def to_json_dict(self) -> dict:
-        return {"counts": self.counts, "queue_wait_s": self.queue_wait_s, "exec_s": self.exec_s}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QpuExecutionReport":
-        return cls(counts=dict(d["counts"]), queue_wait_s=d["queue_wait_s"], exec_s=d["exec_s"])
 
 
 @dataclass(frozen=True)
@@ -89,6 +78,32 @@ class BackendCeilings:
     max_cores: int | None = None
     max_gpus: int | None = None
     max_pilots: int | None = None
+
+
+def run_timed(clock: Clock, latency_s: float, work, /, *args, **kwargs):
+    """Sleep the modelled latency, then call work(*args, **kwargs); returns
+    (its result, exec_s)."""
+    clock.sleep(latency_s)
+    t0 = time.perf_counter()
+    out = work(*args, **kwargs)
+    return out, latency_s + (time.perf_counter() - t0)
+
+
+def simulate_readout(
+    circuit: Circuit,
+    shots: int,
+    seed: int,
+    observable: PauliObservable | None = None,
+    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
+) -> TaskResult:
+    """Simulate, then read out: the expectation of `observable` if given,
+    else `shots` sampled counts (seeded), else exact probabilities."""
+    state = run_circuit(circuit, memory_cap_bytes=memory_cap_bytes)
+    if observable is not None:
+        return TaskResult(value=expectation(state, observable))
+    if shots > 0:
+        return TaskResult(counts=sample(state, shots, seed))
+    return TaskResult(probabilities=tuple(float(p) for p in probabilities(state)))
 
 
 def startup_delay(desc: PilotDescription) -> float:
@@ -196,12 +211,11 @@ class ResourceBackend:
                 rng = np.random.default_rng(rng_seed)
                 queue_wait = max(0.0, queue_wait + float(rng.uniform(-qm.jitter_s, qm.jitter_s)))
         self.clock.sleep(queue_wait)
-        t0 = time.perf_counter()
-        state = run_circuit(circuit, memory_cap_bytes=self.memory_cap_bytes)
-        counts = sample(state, shots, rng_seed)
-        sim_s = time.perf_counter() - t0
-        self.clock.sleep(latency)
-        return QpuExecutionReport(counts=counts, queue_wait_s=queue_wait, exec_s=latency + sim_s)
+        result, exec_s = run_timed(
+            self.clock, latency, simulate_readout,
+            circuit, shots, rng_seed, memory_cap_bytes=self.memory_cap_bytes,
+        )
+        return QpuExecutionReport(counts=result.counts, queue_wait_s=queue_wait, exec_s=exec_s)
 
 
 def make_backends(

@@ -25,6 +25,7 @@ from pilotq.bench.vqc import (
     make_blobs,
     train_vqc,
 )
+from pilotq.codec import JsonRecord
 from pilotq.cutting import clustered_circuit, run_cut_workflow
 from pilotq.errors import NoActiveSession, ValidationError
 from pilotq.events import EventLog
@@ -52,7 +53,7 @@ TIMING_SUFFIXES = ("_s", "_ms")
 
 
 @dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(JsonRecord):
     """Aggregate outcome of one benchmark run."""
 
     workload: str
@@ -77,16 +78,8 @@ class RunMetrics:
         return self.tasks_done / wall if wall > 0 else 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "params": self.params,
-            "phase_s": self.phase_s,
-            "tasks_total": self.tasks_total,
-            "tasks_done": self.tasks_done,
-            "tasks_failed": self.tasks_failed,
-            "tasks_canceled": self.tasks_canceled,
-            "throughput_tasks_per_s": self.throughput_tasks_per_s,
-        }
+        """The fields plus the derived throughput, for session files."""
+        return {**super().to_json_dict(), "throughput_tasks_per_s": self.throughput_tasks_per_s}
 
 
 # --- CSV and session helpers ---------------------------------------------------

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from pilotq.codec import JsonRecord
 from pilotq.errors import PilotQError, ValidationError
 from pilotq.model import ClassicalPayload, TaskDescription, TaskKind, TaskState
 from pilotq.qsim.circuit import Circuit, Gate, PauliObservable, sel_circuit
@@ -31,7 +32,7 @@ BATCH_GRADIENT_FN = "vqc_batch_gradient"
 
 
 @dataclass(frozen=True)
-class VqcConfig:
+class VqcConfig(JsonRecord):
     n_qubits: int = 4
     layers: int = 2
     samples: int = 200
@@ -58,24 +59,6 @@ class VqcConfig:
     @property
     def num_params(self) -> int:
         return 3 * self.n_qubits * self.layers
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "layers": self.layers,
-            "samples": self.samples,
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "optimizer": self.optimizer,
-            "momentum": self.momentum,
-            "softmax_scale": self.softmax_scale,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "VqcConfig":
-        return cls(**d)
 
 
 def make_blobs(samples: int, n_features: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

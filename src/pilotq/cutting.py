@@ -38,6 +38,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from pilotq.codec import JsonRecord
 from pilotq.errors import (
     MissingFragmentValue,
     NoFeasiblePilot,
@@ -130,7 +131,7 @@ def clustered_circuit(cluster_sizes, reps: int = 1, seed: int = 0) -> Circuit:
 
 
 @dataclass(frozen=True)
-class CutSpec:
+class CutSpec(JsonRecord):
     """One severed wire, identified by the original qubit it runs on."""
 
     cut_id: int
@@ -140,30 +141,9 @@ class CutSpec:
     downstream_fragment: int
     downstream_wire: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "cut_id": self.cut_id,
-            "original_qubit": self.original_qubit,
-            "upstream_fragment": self.upstream_fragment,
-            "upstream_wire": self.upstream_wire,
-            "downstream_fragment": self.downstream_fragment,
-            "downstream_wire": self.downstream_wire,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CutSpec":
-        return cls(
-            cut_id=int(d["cut_id"]),
-            original_qubit=int(d["original_qubit"]),
-            upstream_fragment=int(d["upstream_fragment"]),
-            upstream_wire=int(d["upstream_wire"]),
-            downstream_fragment=int(d["downstream_fragment"]),
-            downstream_wire=int(d["downstream_wire"]),
-        )
-
 
 @dataclass(frozen=True)
-class FragmentSpec:
+class FragmentSpec(JsonRecord):
     """One fragment: its local circuit before any prep/basis injections.
 
     `letters` holds the observable's Z letters on local wires (a letter on
@@ -183,30 +163,9 @@ class FragmentSpec:
     def width(self) -> int:
         return self.circuit.num_qubits
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "circuit": self.circuit.to_json_dict(),
-            "letters": {str(k): v for k, v in self.letters.items()},
-            "qubit_map": {str(k): v for k, v in self.qubit_map.items()},
-            "measured_cuts": list(self.measured_cuts),
-            "prepped_cuts": list(self.prepped_cuts),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FragmentSpec":
-        return cls(
-            index=int(d["index"]),
-            circuit=Circuit.from_json_dict(d["circuit"]),
-            letters={int(k): v for k, v in d["letters"].items()},
-            qubit_map={int(k): int(v) for k, v in d["qubit_map"].items()},
-            measured_cuts=tuple(d["measured_cuts"]),
-            prepped_cuts=tuple(d["prepped_cuts"]),
-        )
-
 
 @dataclass(frozen=True)
-class CutPlan:
+class CutPlan(JsonRecord):
     num_qubits: int
     observable: PauliObservable
     fragments: tuple[FragmentSpec, ...]
@@ -223,23 +182,6 @@ class CutPlan:
     @property
     def sampling_overhead(self) -> float:
         return sampling_overhead(self.num_cuts)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "num_qubits": self.num_qubits,
-            "observable": self.observable.to_json_dict(),
-            "fragments": [f.to_json_dict() for f in self.fragments],
-            "cuts": [c.to_json_dict() for c in self.cuts],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CutPlan":
-        return cls(
-            num_qubits=int(d["num_qubits"]),
-            observable=PauliObservable.from_json_dict(d["observable"]),
-            fragments=tuple(FragmentSpec.from_json_dict(f) for f in d["fragments"]),
-            cuts=tuple(CutSpec.from_json_dict(c) for c in d["cuts"]),
-        )
 
 
 def _single_pauli_string(observable: PauliObservable) -> tuple[float, str]:
@@ -369,7 +311,7 @@ def find_cuts(circuit: Circuit, observable: PauliObservable, max_width: int) -> 
 
 
 @dataclass(frozen=True)
-class Subexperiment:
+class Subexperiment(JsonRecord):
     """One runnable fragment circuit: preps prepended, rotations appended.
 
     `value_keys` lists the (key, mask) pairs this run's output yields: the
@@ -384,30 +326,13 @@ class Subexperiment:
     circuit: Circuit
     value_keys: tuple[tuple[str, int], ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "fragment": self.fragment,
-            "preps": {str(k): v for k, v in self.preps.items()},
-            "bases": {str(k): v for k, v in self.bases.items()},
-            "circuit": self.circuit.to_json_dict(),
-            "value_keys": [[k, m] for k, m in self.value_keys],
-        }
-
 
 @dataclass(frozen=True)
-class ReconstructionTerm:
+class ReconstructionTerm(JsonRecord):
     """coeff times the product of the named fragment values."""
 
     coeff: float
     factors: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"coeff": self.coeff, "factors": list(self.factors)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ReconstructionTerm":
-        return cls(coeff=float(d["coeff"]), factors=tuple(d["factors"]))
 
 
 def _value_key(fragment: int, preps: Mapping[int, str], meas: Mapping[int, str]) -> str:
@@ -552,7 +477,7 @@ def reconstruct(terms: Iterable[ReconstructionTerm], values: Mapping[str, float]
 
 
 @dataclass(frozen=True)
-class CutWorkflowResult:
+class CutWorkflowResult(JsonRecord):
     value: float
     oracle_value: float | None
     abs_error: float | None
@@ -564,21 +489,6 @@ class CutWorkflowResult:
     exec_s: float
     reconstruct_s: float
     task_ids: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "oracle_value": self.oracle_value,
-            "abs_error": self.abs_error,
-            "num_qubits": self.num_qubits,
-            "num_cuts": self.num_cuts,
-            "num_subexperiments": self.num_subexperiments,
-            "sampling_overhead": self.sampling_overhead,
-            "plan_s": self.plan_s,
-            "exec_s": self.exec_s,
-            "reconstruct_s": self.reconstruct_s,
-            "task_ids": list(self.task_ids),
-        }
 
 
 def run_cut_workflow(

@@ -22,35 +22,21 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from pilotq.clock import Clock, WallClock
+from pilotq.codec import JsonRecord
 from pilotq.model import TaskState
+
+# One compact encoder for every line: json.dumps with non-default
+# separators would build a new encoder per event, under the log's lock.
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass(frozen=True)
-class EventRecord:
+class EventRecord(JsonRecord):
     ts_s: float
     entity: str  # "task" | "pilot" | "manager"
     entity_id: str
     event: str
     attrs: dict[str, str] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ts_s": self.ts_s,
-            "entity": self.entity,
-            "entity_id": self.entity_id,
-            "event": self.event,
-            "attrs": self.attrs,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EventRecord":
-        return cls(
-            ts_s=float(d["ts_s"]),
-            entity=d["entity"],
-            entity_id=d["entity_id"],
-            event=d["event"],
-            attrs=dict(d["attrs"]),
-        )
 
 
 class EventLog:
@@ -77,7 +63,7 @@ class EventLog:
             )
             self._records.append(rec)
             if self._fh is not None:
-                self._fh.write(json.dumps(rec.to_json_dict(), separators=(",", ":")) + "\n")
+                self._fh.write(_LINE_ENCODER.encode(rec.to_json_dict()) + "\n")
             return rec
 
     @property

@@ -81,7 +81,8 @@ class CancelOutcome:
 
 @dataclass(frozen=True)
 class _PilotShape:
-    """Capacity view used for feasibility, valid for live and removed pilots."""
+    """Capacity view used for feasibility, built once per created pilot and
+    kept after the pilot is removed."""
 
     name: str
     backend_kind: BackendKind
@@ -113,7 +114,7 @@ class PilotManager:
         self._store = TaskStore(self._clock)
         self._lock = threading.RLock()
         self._pilots: dict[str, _PilotEntry] = {}
-        self._configured: dict[str, PilotDescription] = {}
+        self._configured: dict[str, _PilotShape] = {}
         self._pending: deque[str] = deque()
         self._assigned_pilot: dict[str, str] = {}
         self._pilots_version = 0
@@ -155,7 +156,13 @@ class PilotManager:
                 memory_cap_bytes=self._memory_cap,
             ).start()
             self._pilots[desc.name] = _PilotEntry(desc, agent, self._clock.now())
-            self._configured[desc.name] = desc
+            if desc.backend_kind is BackendKind.QPU_SIM:
+                qubits = desc.qpu_qubits
+            else:
+                qubits = sim_qubit_capacity(self._memory_cap)
+            self._configured[desc.name] = _PilotShape(
+                desc.name, desc.backend_kind, desc.total_cores, desc.total_gpus, qubits
+            )
             self._pilots_version += 1
             self._log.emit(
                 "pilot", desc.name, "pilot_created",
@@ -253,15 +260,6 @@ class PilotManager:
 
     # --- scheduling core --------------------------------------------------------------
 
-    def _shape_for(self, desc: PilotDescription) -> _PilotShape:
-        if desc.backend_kind is BackendKind.QPU_SIM:
-            qubits = desc.qpu_qubits
-        else:
-            qubits = sim_qubit_capacity(self._memory_cap)
-        return _PilotShape(
-            desc.name, desc.backend_kind, desc.total_cores, desc.total_gpus, qubits
-        )
-
     @staticmethod
     def _fits(task: TaskDescription, shape: _PilotShape) -> bool:
         if task.target is not None and task.target != shape.name:
@@ -288,14 +286,14 @@ class PilotManager:
         with self._lock:
             return sorted(
                 name
-                for name, entry in self._pilots.items()
-                if self._fits(task, self._shape_for(entry.description))
+                for name in self._pilots
+                if self._fits(task, self._configured[name])
             )
 
     def _schedule_pass(self) -> list[tuple[str, str]]:
         assignments: list[tuple[str, str]] = []
         still: deque[str] = deque()
-        shapes = {name: self._shape_for(e.description) for name, e in self._pilots.items()}
+        shapes = {name: self._configured[name] for name in self._pilots}
         while self._pending:
             tid = self._pending.popleft()
             rec = self._store.get(tid)
@@ -319,7 +317,7 @@ class PilotManager:
                 self._pilots[name].agent.assign(rec)
                 assignments.append((tid, name))
             elif self._configured and not any(
-                self._fits(task, self._shape_for(d)) for d in self._configured.values()
+                self._fits(task, shape) for shape in self._configured.values()
             ):
                 final = self._store.advance(
                     tid, "fail",

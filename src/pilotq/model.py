@@ -12,6 +12,10 @@ The task lifecycle is a small state machine over immutable records; the
 A retried record returns to NEW with assigned_pilot and the schedule/start
 timestamps cleared; the event log keeps the history. Anything else raises
 IllegalTransition.
+
+Every record is a `JsonRecord`: its JSON form comes from the generic codec
+in `pilotq.codec`, driven by the field annotations below, so a field added
+here is serialised without further code.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from pilotq.codec import JsonRecord
 from pilotq.errors import IllegalTransition, ValidationError
 from pilotq.qsim.circuit import Circuit, PauliObservable
 
@@ -50,23 +55,12 @@ TERMINAL_STATES = frozenset({TaskState.DONE, TaskState.FAILED, TaskState.CANCELE
 
 
 @dataclass(frozen=True)
-class QueueModel:
+class QueueModel(JsonRecord):
     """Queue-delay model: startup delay base +- jitter, plus per-task latency."""
 
     base_delay_s: float = 0.0
     jitter_s: float = 0.0
     per_task_latency_s: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "base_delay_s": self.base_delay_s,
-            "jitter_s": self.jitter_s,
-            "per_task_latency_s": self.per_task_latency_s,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QueueModel":
-        return cls(**d)
 
 
 # Default startup-queue behaviour per backend; batch submission historically
@@ -79,7 +73,7 @@ DEFAULT_QUEUE_MODELS = {
 
 
 @dataclass(frozen=True)
-class PilotDescription:
+class PilotDescription(JsonRecord):
     name: str
     backend_kind: BackendKind
     nodes: int = 1
@@ -102,25 +96,6 @@ class PilotDescription:
     @property
     def total_gpus(self) -> int:
         return self.nodes * self.gpus_per_node
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "backend_kind": self.backend_kind.value,
-            "nodes": self.nodes,
-            "cores_per_node": self.cores_per_node,
-            "gpus_per_node": self.gpus_per_node,
-            "qpu_qubits": self.qpu_qubits,
-            "walltime_s": self.walltime_s,
-            "queue_model": self.queue_model.to_json_dict(),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PilotDescription":
-        d = dict(d)
-        d["queue_model"] = QueueModel.from_json_dict(d["queue_model"])
-        return cls(**d)
 
 
 def validate_pilot_description(desc: PilotDescription) -> None:
@@ -149,7 +124,7 @@ def validate_pilot_description(desc: PilotDescription) -> None:
 
 
 @dataclass(frozen=True)
-class ClassicalPayload:
+class ClassicalPayload(JsonRecord):
     """Call a function registered with the agent, by name."""
 
     function: str
@@ -160,16 +135,9 @@ class ClassicalPayload:
         object.__setattr__(self, "args", tuple(self.args))
         object.__setattr__(self, "kwargs", dict(self.kwargs))
 
-    def to_json_dict(self) -> dict:
-        return {"function": self.function, "args": list(self.args), "kwargs": self.kwargs}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ClassicalPayload":
-        return cls(function=d["function"], args=tuple(d["args"]), kwargs=d["kwargs"])
-
 
 @dataclass(frozen=True)
-class QuantumPayload:
+class QuantumPayload(JsonRecord):
     """Circuit execution request.
 
     shots = 0 with an observable -> exact expectation value;
@@ -181,25 +149,9 @@ class QuantumPayload:
     shots: int = 0
     observable: PauliObservable | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "circuit": self.circuit.to_json_dict(),
-            "shots": self.shots,
-            "observable": self.observable.to_json_dict() if self.observable else None,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QuantumPayload":
-        obs = d.get("observable")
-        return cls(
-            circuit=Circuit.from_json_dict(d["circuit"]),
-            shots=int(d["shots"]),
-            observable=PauliObservable.from_json_dict(obs) if obs else None,
-        )
-
 
 @dataclass(frozen=True)
-class TaskDescription:
+class TaskDescription(JsonRecord):
     task_id: str
     kind: TaskKind
     payload: ClassicalPayload | QuantumPayload | None = None
@@ -211,46 +163,6 @@ class TaskDescription:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", TaskKind(self.kind))
-
-    def to_json_dict(self) -> dict:
-        if self.payload is None:
-            payload = None
-        else:
-            payload = self.payload.to_json_dict()
-        return {
-            "task_id": self.task_id,
-            "kind": self.kind.value,
-            "payload": payload,
-            "requires_cores": self.requires_cores,
-            "requires_gpus": self.requires_gpus,
-            "requires_qubits": self.requires_qubits,
-            "target": self.target,
-            "max_retries": self.max_retries,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TaskDescription":
-        kind = TaskKind(d["kind"])
-        raw = d.get("payload")
-        payload: ClassicalPayload | QuantumPayload | None
-        if raw is None:
-            payload = None
-        elif kind is TaskKind.CLASSICAL_FN:
-            payload = ClassicalPayload.from_json_dict(raw)
-        elif kind is TaskKind.QUANTUM_CIRCUIT:
-            payload = QuantumPayload.from_json_dict(raw)
-        else:
-            payload = None
-        return cls(
-            task_id=d["task_id"],
-            kind=kind,
-            payload=payload,
-            requires_cores=int(d["requires_cores"]),
-            requires_gpus=int(d["requires_gpus"]),
-            requires_qubits=int(d["requires_qubits"]),
-            target=d.get("target"),
-            max_retries=int(d["max_retries"]),
-        )
 
 
 def validate_task_description(desc: TaskDescription) -> None:
@@ -290,7 +202,7 @@ def validate_task_description(desc: TaskDescription) -> None:
 
 
 @dataclass(frozen=True)
-class TaskResult:
+class TaskResult(JsonRecord):
     """Outcome payload; which fields are set depends on the task kind."""
 
     value: float | None = None
@@ -300,31 +212,9 @@ class TaskResult:
     queue_wait_s: float | None = None
     exec_s: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "counts": self.counts,
-            "probabilities": list(self.probabilities) if self.probabilities is not None else None,
-            "data": self.data,
-            "queue_wait_s": self.queue_wait_s,
-            "exec_s": self.exec_s,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TaskResult":
-        probs = d.get("probabilities")
-        return cls(
-            value=d.get("value"),
-            counts=d.get("counts"),
-            probabilities=tuple(probs) if probs is not None else None,
-            data=d.get("data"),
-            queue_wait_s=d.get("queue_wait_s"),
-            exec_s=d.get("exec_s"),
-        )
-
 
 @dataclass(frozen=True)
-class Timestamps:
+class Timestamps(JsonRecord):
     submit_s: float | None = None
     schedule_s: float | None = None
     start_s: float | None = None
@@ -334,21 +224,9 @@ class Timestamps:
         seen = [t for t in (self.submit_s, self.schedule_s, self.start_s, self.end_s) if t is not None]
         return all(a <= b for a, b in zip(seen, seen[1:]))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "submit_s": self.submit_s,
-            "schedule_s": self.schedule_s,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Timestamps":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class TaskRecord:
+class TaskRecord(JsonRecord):
     description: TaskDescription
     state: TaskState = TaskState.NEW
     assigned_pilot: str | None = None
@@ -364,30 +242,6 @@ class TaskRecord:
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
-
-    def to_json_dict(self) -> dict:
-        return {
-            "description": self.description.to_json_dict(),
-            "state": self.state.value,
-            "assigned_pilot": self.assigned_pilot,
-            "timestamps": self.timestamps.to_json_dict(),
-            "attempt": self.attempt,
-            "result": self.result.to_json_dict() if self.result else None,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TaskRecord":
-        raw_result = d.get("result")
-        return cls(
-            description=TaskDescription.from_json_dict(d["description"]),
-            state=TaskState(d["state"]),
-            assigned_pilot=d.get("assigned_pilot"),
-            timestamps=Timestamps.from_json_dict(d["timestamps"]),
-            attempt=int(d["attempt"]),
-            result=TaskResult.from_json_dict(raw_result) if raw_result else None,
-            error=d.get("error"),
-        )
 
 
 def new_record(desc: TaskDescription, at: float) -> TaskRecord:
@@ -477,6 +331,6 @@ def transition(
 
 # --- serialization helpers ------------------------------------------------------
 
-def dumps(obj) -> str:
-    """Compact JSON for any domain type with a to_json_dict method."""
+def dumps(obj: JsonRecord) -> str:
+    """Compact JSON with sorted keys for any record."""
     return json.dumps(obj.to_json_dict(), separators=(",", ":"), sort_keys=True)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from pilotq.codec import JsonRecord
 from pilotq.errors import ValidationError
 
 GATE_NAMES = frozenset({"H", "X", "Y", "Z", "S", "T", "RX", "RY", "RZ", "CNOT", "CZ"})
@@ -25,7 +26,7 @@ TWO_QUBIT_GATES = frozenset({"CNOT", "CZ"})
 
 
 @dataclass(frozen=True)
-class Gate:
+class Gate(JsonRecord):
     """One gate application: name, target qubit(s), optional angle."""
 
     name: str
@@ -52,26 +53,9 @@ class Gate:
             if self.param_index is not None:
                 raise ValidationError(f"{self.name} cannot be trainable")
 
-    def to_json_dict(self) -> dict:
-        d: dict = {"name": self.name, "qubits": list(self.qubits)}
-        if self.param is not None:
-            d["param"] = self.param
-        if self.param_index is not None:
-            d["param_index"] = self.param_index
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Gate":
-        return cls(
-            name=d["name"],
-            qubits=tuple(d["qubits"]),
-            param=d.get("param"),
-            param_index=d.get("param_index"),
-        )
-
 
 @dataclass(frozen=True)
-class Circuit:
+class Circuit(JsonRecord):
     """An ordered gate list on num_qubits wires. num_params is derived."""
 
     num_qubits: int
@@ -117,25 +101,12 @@ class Circuit:
         )
         return Circuit(self.num_qubits, gates)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "num_qubits": self.num_qubits,
-            "gates": [g.to_json_dict() for g in self.gates],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Circuit":
-        return cls(
-            num_qubits=int(d["num_qubits"]),
-            gates=tuple(Gate.from_json_dict(g) for g in d["gates"]),
-        )
-
 
 _PAULI_CHARS = frozenset("IXYZ")
 
 
 @dataclass(frozen=True)
-class PauliObservable:
+class PauliObservable(JsonRecord):
     """Weighted sum of Pauli strings. String position q addresses qubit q."""
 
     terms: tuple[tuple[float, str], ...]
@@ -155,13 +126,6 @@ class PauliObservable:
     @property
     def num_qubits(self) -> int:
         return len(self.terms[0][1])
-
-    def to_json_dict(self) -> dict:
-        return {"terms": [[c, s] for c, s in self.terms]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PauliObservable":
-        return cls(terms=tuple((c, s) for c, s in d["terms"]))
 
     @classmethod
     def single(cls, num_qubits: int, letters: dict[int, str], coeff: float = 1.0) -> "PauliObservable":

@@ -12,6 +12,8 @@ from helpers import (
     qpu_desc,
     zero_task,
 )
+from pilotq.agent import task_seed
+from pilotq.backends import ResourceBackend
 from pilotq.errors import (
     DuplicatePilotName,
     DuplicateTaskId,
@@ -21,6 +23,7 @@ from pilotq.errors import (
 from pilotq.events import replay_task_states
 from pilotq.manager import PilotManager, sim_qubit_capacity
 from pilotq.model import (
+    BackendKind,
     ClassicalPayload,
     QuantumPayload,
     TaskDescription,
@@ -342,6 +345,10 @@ def test_exact_and_sampled_tasks_route_to_matching_backends(manager):
     assert s.assigned_pilot == "qpu"
     assert sum(s.result.counts.values()) == 128
     assert set(s.result.counts) <= {"00", "11"}
+    # the agent's qpu path samples exactly as a direct qpu_execute call does
+    backend = ResourceBackend(BackendKind.QPU_SIM)
+    alloc = backend.provision(qpu_desc("ref", qubits=8, cores=2))
+    assert s.result.counts == backend.qpu_execute(bell, 128, alloc, rng_seed=task_seed("s")).counts
 
 
 # --- introspection and audit ------------------------------------------------------------

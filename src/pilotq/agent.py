@@ -101,10 +101,8 @@ class PilotAgent:
         self._free_slots = workers
         self._running_count = 0
         self._stop_mode: str | None = None
-        self._released = False
         self._final_metrics: AgentMetrics | None = None
         self._ready = threading.Event()
-        self._ready_emitted = False
         self._threads: list[threading.Thread] = []
 
         self._tasks_done = 0
@@ -188,20 +186,11 @@ class PilotAgent:
         for t in self._threads:
             t.join()
         with self._cond:
-            if not self._released:
-                self._released = True
+            if self._final_metrics is None:
                 if self._backend is not None:
                     self._backend.release(self.allocation)
                 self._log.emit("pilot", self.name, "agent_stopped", drain=str(drain).lower())
-            if self._final_metrics is None:
-                self._final_metrics = AgentMetrics(
-                    tasks_done=self._tasks_done,
-                    tasks_failed=self._tasks_failed,
-                    busy_cores=0,
-                    queue_depth=len(self._queue),
-                    total_exec_s=self._total_exec_s,
-                    agent_overhead_s=self._overhead_s,
-                )
+                self._final_metrics = self.metrics()
             return self._final_metrics
 
     # --- worker machinery --------------------------------------------------------
@@ -217,8 +206,7 @@ class PilotAgent:
                     return False
             self._clock.sleep(min(0.05, self.allocation.granted_at_s - now))
         with self._cond:
-            if not self._ready_emitted:
-                self._ready_emitted = True
+            if not self._ready.is_set():
                 self._log.emit(
                     "pilot", self.name, "agent_ready",
                     granted_at_s=self.allocation.granted_at_s,
@@ -228,6 +216,8 @@ class PilotAgent:
         return True
 
     def _worker(self, index: int) -> None:
+        # Only worker 0 moves the clock toward granted_at_s: a SimulatedClock
+        # adds up every sleeper's duration, so more sleepers would overshoot.
         if index == 0:
             if not self._await_ready():
                 return
@@ -262,10 +252,10 @@ class PilotAgent:
 
     # --- execution ----------------------------------------------------------------
 
-    def _run_one(self, tid: str, desc: TaskDescription) -> TaskRecord | None:
+    def _run_one(self, tid: str, desc: TaskDescription) -> None:
         store = self._store
         if store.try_advance(tid, "schedule", pilot=self.name) is None:
-            return None  # canceled between queue pop and schedule
+            return  # canceled between queue pop and schedule
 
         fail_fast: str | None = None
         if desc.requires_cores > self._workers:
@@ -281,11 +271,12 @@ class PilotAgent:
         elif self._clock.now() > self.allocation.expires_at_s:
             fail_fast = f"WalltimeExpired: pilot {self.name} walltime ended"
         if fail_fast is not None:
-            return self._finish_fail(tid, fail_fast)
+            self._finish_fail(tid, fail_fast)
+            return
 
         rec = store.try_advance(tid, "start")
         if rec is None:
-            return None
+            return
         dispatch_s = (rec.timestamps.start_s or 0.0) - (rec.timestamps.schedule_s or 0.0)
         with self._cond:
             self._overhead_s += dispatch_s
@@ -296,7 +287,8 @@ class PilotAgent:
         try:
             result = self._execute_payload(tid, desc)
         except Exception as exc:  # a task failure must never take the worker down
-            return self._finish_fail(tid, f"{type(exc).__name__}: {exc}")
+            self._finish_fail(tid, f"{type(exc).__name__}: {exc}")
+            return
 
         final = store.advance(tid, "complete", result=result)
         with self._cond:
@@ -308,9 +300,8 @@ class PilotAgent:
             exec_s="" if result.exec_s is None else f"{result.exec_s:.6f}",
         )
         self._notify(final)
-        return final
 
-    def _finish_fail(self, tid: str, error: str) -> TaskRecord:
+    def _finish_fail(self, tid: str, error: str) -> None:
         final = self._store.advance(tid, "fail", error=error[:500])
         with self._cond:
             self._tasks_failed += 1
@@ -322,7 +313,6 @@ class PilotAgent:
         else:
             self._log.emit("task", tid, "task_failed", pilot=self.name, error=error[:200])
         self._notify(final)
-        return final
 
     def _notify(self, record: TaskRecord) -> None:
         if self._on_terminal is not None:

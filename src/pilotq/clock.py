@@ -4,6 +4,8 @@ All timestamps in the package come from an injected clock so tests can run
 queue-delay and walltime logic deterministically. The wall clock is a thin
 wrapper over time.monotonic; the simulated clock only moves when someone
 sleeps on it, which lets a test "wait out" a 37 s queue delay instantly.
+Simulated sleeps add up rather than overlap (four threads sleeping 1 s each
+move it by 4 s), so only one thread should sleep toward a shared deadline.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ class Clock(Protocol):
 
     def sleep(self, seconds: float) -> None: ...
 
-    def wait_until(self, deadline: float) -> None: ...
-
 
 class WallClock:
     """Monotonic wall-clock time."""
@@ -32,12 +32,9 @@ class WallClock:
         if seconds > 0:
             time.sleep(seconds)
 
-    def wait_until(self, deadline: float) -> None:
-        self.sleep(deadline - self.now())
-
 
 class SimulatedClock:
-    """Thread-safe virtual clock; time advances only via sleep/wait_until."""
+    """Thread-safe virtual clock; time advances only via sleep."""
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
@@ -51,8 +48,3 @@ class SimulatedClock:
         if seconds > 0:
             with self._lock:
                 self._now += seconds
-
-    def wait_until(self, deadline: float) -> None:
-        with self._lock:
-            if deadline > self._now:
-                self._now = deadline

@@ -71,11 +71,6 @@ class EventLog:
         with self._lock:
             return list(self._records)
 
-    def flush(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-
     def close(self) -> None:
         with self._lock:
             if self._fh is not None:

@@ -6,9 +6,12 @@ Submitted tasks enter a FIFO pending queue. A scheduling pass walks it in
 order and hands each task to the least-loaded feasible pilot (ties broken
 by lexicographically smallest pilot name); tasks with no feasible pilot
 right now stay pending, and tasks that no configured pilot could *ever*
-satisfy fail with NoFeasiblePilot. Passes run on submit, task completion,
-and pilot add/remove, plus the explicit `schedule_pending` entry point for
-deterministic batch placement in tests.
+satisfy fail with NoFeasiblePilot. A pass reads each live agent's load once
+and counts its own assignments forward. Passes run on submit, on a retry,
+and on pilot add/remove, plus the explicit `schedule_pending` entry point
+for deterministic batch placement in tests. Completions run no pass: a task
+stays pending only while no live pilot fits it, and only `create_pilot`
+adds a live pilot.
 
 Feasibility is decided against total capacity: requires_cores and
 requires_gpus against the allocation totals, affinity against the pilot
@@ -25,17 +28,12 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pilotq.agent import AgentMetrics, PilotAgent
 from pilotq.backends import BackendCeilings, ResourceBackend, make_backends
 from pilotq.clock import Clock, WallClock
-from pilotq.errors import (
-    DuplicatePilotName,
-    IllegalTransition,
-    UnknownPilot,
-    ValidationError,
-)
+from pilotq.errors import DuplicatePilotName, IllegalTransition, UnknownPilot
 from pilotq.events import EventLog
 from pilotq.model import (
     BackendKind,
@@ -58,13 +56,6 @@ def sim_qubit_capacity(memory_cap_bytes: int) -> int:
     while n > 0 and memory_bytes(n) >= memory_cap_bytes:
         n -= 1
     return n
-
-
-@dataclass
-class _PilotEntry:
-    description: PilotDescription
-    agent: PilotAgent
-    created_s: float
 
 
 @dataclass(frozen=True)
@@ -113,12 +104,9 @@ class PilotManager:
         self._auto = auto_schedule
         self._store = TaskStore(self._clock)
         self._lock = threading.RLock()
-        self._pilots: dict[str, _PilotEntry] = {}
+        self._pilots: dict[str, PilotAgent] = {}
         self._configured: dict[str, _PilotShape] = {}
         self._pending: deque[str] = deque()
-        self._assigned_pilot: dict[str, str] = {}
-        self._pilots_version = 0
-        self._stalled_version = -1
         self._started_at = self._clock.now()
 
     # --- registry ---------------------------------------------------------------
@@ -155,7 +143,7 @@ class PilotManager:
                 on_terminal=self._on_agent_terminal,
                 memory_cap_bytes=self._memory_cap,
             ).start()
-            self._pilots[desc.name] = _PilotEntry(desc, agent, self._clock.now())
+            self._pilots[desc.name] = agent
             if desc.backend_kind is BackendKind.QPU_SIM:
                 qubits = desc.qpu_qubits
             else:
@@ -163,7 +151,6 @@ class PilotManager:
             self._configured[desc.name] = _PilotShape(
                 desc.name, desc.backend_kind, desc.total_cores, desc.total_gpus, qubits
             )
-            self._pilots_version += 1
             self._log.emit(
                 "pilot", desc.name, "pilot_created",
                 backend=desc.backend_kind.value,
@@ -178,28 +165,25 @@ class PilotManager:
 
     def remove_pilot(self, name: str, drain: bool = True) -> AgentMetrics:
         with self._lock:
-            entry = self._pilots.pop(name, None)
-            if entry is None:
+            agent = self._pilots.pop(name, None)
+            if agent is None:
                 raise UnknownPilot(name)
-            self._pilots_version += 1
             if not drain:
-                reclaimed = entry.agent.take_back_queued()
+                reclaimed = agent.take_back_queued()
                 for tid, _ in reversed(reclaimed):
-                    self._assigned_pilot.pop(tid, None)
                     self._pending.appendleft(tid)
                     self._log.emit("task", tid, "task_requeued", reason=f"pilot {name} removed")
-        # Shutdown outside the lock: draining joins workers whose completion
-        # callbacks need the manager lock.
-        metrics = entry.agent.shutdown(drain=drain)
+                if self._auto:
+                    self._schedule_pass()
+        # Shutdown outside the lock: the workers it joins may still hand a
+        # retry back, and the retry callback needs the manager lock.
+        metrics = agent.shutdown(drain=drain)
         self._log.emit(
             "pilot", name, "pilot_removed",
             drain=str(drain).lower(),
             tasks_done=metrics.tasks_done,
             tasks_failed=metrics.tasks_failed,
         )
-        with self._lock:
-            if self._auto:
-                self._schedule_pass()
         return metrics
 
     def pilot_names(self) -> list[str]:
@@ -208,7 +192,7 @@ class PilotManager:
 
     def wait_pilots_ready(self, timeout: float | None = None) -> bool:
         with self._lock:
-            agents = [e.agent for e in self._pilots.values()]
+            agents = list(self._pilots.values())
         return all(a.wait_ready(timeout) for a in agents)
 
     # --- tasks ----------------------------------------------------------------------
@@ -239,14 +223,14 @@ class PilotManager:
         with self._lock:
             rec = self._store.get(task_id)
             if rec.state in (TaskState.NEW, TaskState.SCHEDULED):
-                pilot = self._assigned_pilot.get(task_id)
-                if pilot is not None and pilot in self._pilots:
-                    self._pilots[pilot].agent.cancel_queued(task_id)
+                # at most one live agent holds the task in its queue
+                for agent in self._pilots.values():
+                    if agent.cancel_queued(task_id):
+                        break
                 try:
                     final = self._store.advance(task_id, "cancel")
                 except IllegalTransition:
                     return CancelOutcome(self._store.get(task_id), False)
-                self._assigned_pilot.pop(task_id, None)
                 try:
                     self._pending.remove(task_id)
                 except ValueError:
@@ -293,19 +277,17 @@ class PilotManager:
     def _schedule_pass(self) -> list[tuple[str, str]]:
         assignments: list[tuple[str, str]] = []
         still: deque[str] = deque()
-        shapes = {name: self._configured[name] for name in self._pilots}
+        loads = {name: agent.load() for name, agent in self._pilots.items()}
         while self._pending:
             tid = self._pending.popleft()
             rec = self._store.get(tid)
             if rec.state is not TaskState.NEW:
                 continue
             task = rec.description
-            candidates = [name for name, shape in shapes.items() if self._fits(task, shape)]
+            candidates = [name for name in loads if self._fits(task, self._configured[name])]
             if candidates:
-                name = min(
-                    candidates, key=lambda nm: (self._pilots[nm].agent.load(), nm)
-                )
-                self._assigned_pilot[tid] = name
+                name = min(candidates, key=lambda nm: (loads[nm], nm))
+                loads[name] += 1
                 # log before handing over: the agent may start the task at once
                 self._log.emit(
                     "task", tid, "task_assigned",
@@ -314,12 +296,12 @@ class PilotManager:
                     requires_gpus=task.requires_gpus,
                     requires_qubits=task.requires_qubits,
                 )
-                self._pilots[name].agent.assign(rec)
+                self._pilots[name].assign(rec)
                 assignments.append((tid, name))
             elif self._configured and not any(
                 self._fits(task, shape) for shape in self._configured.values()
             ):
-                final = self._store.advance(
+                self._store.advance(
                     tid, "fail",
                     error="NoFeasiblePilot: no configured pilot satisfies "
                     f"cores={task.requires_cores} gpus={task.requires_gpus} "
@@ -329,25 +311,14 @@ class PilotManager:
             else:
                 still.append(tid)
         self._pending = still
-        self._stalled_version = self._pilots_version if still else -1
         return assignments
 
     def _on_agent_terminal(self, record: TaskRecord) -> None:
-        with self._lock:
-            tid = record.task_id
-            if record.state is TaskState.NEW:
-                # failed attempt with retries left: back into the queue
-                self._assigned_pilot.pop(tid, None)
-                self._pending.append(tid)
+        if record.state is TaskState.NEW:
+            # failed attempt with retries left: back into the queue
+            with self._lock:
+                self._pending.append(record.task_id)
                 if self._auto:
-                    self._schedule_pass()
-            else:
-                self._assigned_pilot.pop(tid, None)
-                if (
-                    self._auto
-                    and self._pending
-                    and self._pilots_version != self._stalled_version
-                ):
                     self._schedule_pass()
 
     # --- introspection -----------------------------------------------------------------
@@ -356,13 +327,13 @@ class PilotManager:
         with self._lock:
             pilots = []
             for name in sorted(self._pilots):
-                entry = self._pilots[name]
-                m = entry.agent.metrics()
+                agent = self._pilots[name]
+                m = agent.metrics()
                 pilots.append(
                     {
                         "name": name,
-                        "backend_kind": entry.description.backend_kind.value,
-                        "total_cores": entry.agent.allocation.total_cores,
+                        "backend_kind": agent.description.backend_kind.value,
+                        "total_cores": agent.allocation.total_cores,
                         "queue_depth": m.queue_depth,
                         "busy_cores": m.busy_cores,
                         "tasks_done": m.tasks_done,

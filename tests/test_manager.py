@@ -198,22 +198,45 @@ def test_explicit_scheduling_mode(manager=None):
 # --- cancellation and retries ------------------------------------------------------------
 
 
+def blocking_function(started: threading.Semaphore, release: threading.Event):
+    def block():
+        started.release()
+        release.wait()
+
+    return block
+
+
 def test_cancel_a_queued_task(manager):
-    release = threading.Event()
-    manager.register_function("block", release.wait)
+    # both pilots busy, the victim queued on the second one created
+    started, release = threading.Semaphore(0), threading.Event()
+    manager.register_function("block", blocking_function(started, release))
     manager.create_pilot(local_desc("p", cores=1))
-    blocker = TaskDescription(
-        task_id="block", kind=TaskKind.CLASSICAL_FN, payload=ClassicalPayload(function="block")
-    )
-    manager.submit_task(blocker)
-    time.sleep(0.05)
-    victim = manager.submit_task(zero_task(1))
-    outcome = manager.cancel(victim)
-    assert outcome.canceled
-    assert outcome.record.state is TaskState.CANCELED
-    release.set()
-    manager.wait(["block"], timeout=5.0)
-    assert manager.task("block").state is TaskState.DONE
+    manager.create_pilot(local_desc("q", cores=1))
+    blockers = [
+        manager.submit_task(
+            TaskDescription(
+                task_id=f"block-{name}",
+                kind=TaskKind.CLASSICAL_FN,
+                payload=ClassicalPayload(function="block"),
+                target=name,
+            )
+        )
+        for name in ("p", "q")
+    ]
+    try:
+        assert started.acquire(timeout=5.0) and started.acquire(timeout=5.0)
+        victim = manager.submit_task(zero_task(1, target="q"))
+        depths = {p["name"]: p["queue_depth"] for p in manager.status_snapshot()["pilots"]}
+        assert depths == {"p": 0, "q": 1}
+        outcome = manager.cancel(victim)
+        assert outcome.canceled
+        assert outcome.record.state is TaskState.CANCELED
+        assert all(p["queue_depth"] == 0 for p in manager.status_snapshot()["pilots"])
+    finally:
+        release.set()
+    assert manager.wait(blockers, timeout=5.0).complete
+    assert all(manager.task(t).state is TaskState.DONE for t in blockers)
+    assert manager.task(victim).state is TaskState.CANCELED
 
 
 def test_cancel_after_completion_reports_not_canceled(manager):
@@ -292,6 +315,38 @@ def test_remove_without_drain_requeues_onto_survivors(manager):
     assert result.complete
     assert all(r.state is TaskState.DONE for r in result.records.values())
     assert all(r.assigned_pilot == "b" for r in result.records.values())
+
+
+def test_requeued_tasks_are_placed_before_the_removed_pilot_stops(manager):
+    # the removed pilot's worker is still busy, so its shutdown cannot return
+    # until the blocker is released; the requeued tasks must not wait for it
+    started, release = threading.Semaphore(0), threading.Event()
+    manager.register_function("block", blocking_function(started, release))
+    manager.create_pilot(local_desc("a", cores=1))
+    blocker = manager.submit_task(
+        TaskDescription(
+            task_id="block",
+            kind=TaskKind.CLASSICAL_FN,
+            payload=ClassicalPayload(function="block"),
+            target="a",
+        )
+    )
+    remover = threading.Thread(target=manager.remove_pilot, args=("a",), kwargs={"drain": False})
+    try:
+        assert started.acquire(timeout=5.0)
+        ids = [manager.submit_task(zero_task(i)) for i in range(5)]
+        manager.create_pilot(local_desc("b", cores=2))
+        remover.start()
+        result = manager.wait(ids, timeout=5.0)
+        assert manager.task(blocker).state is TaskState.RUNNING
+        assert result.complete
+        assert all(r.state is TaskState.DONE for r in result.records.values())
+        assert all(r.assigned_pilot == "b" for r in result.records.values())
+    finally:
+        release.set()
+    remover.join(timeout=5.0)
+    assert not remover.is_alive()
+    assert manager.wait([blocker], timeout=5.0).complete
 
 
 def test_drain_removal_finishes_assigned_work(manager):

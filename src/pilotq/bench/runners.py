@@ -4,6 +4,14 @@ Every run writes a CSV (header row, UTF-8, '.' decimal point) and a session
 snapshot file that `pq status` reads back. Column names ending in `_s` or
 `_ms` are wall-clock measurements and excluded from determinism guarantees;
 every other column is reproducible for a fixed seed.
+
+The drivers share one skeleton. `_fleet` opens the event log, builds a
+manager, creates its pilots (one worker per core) and waits until they are
+ready; leaving it shuts the manager down and closes the log. A run that
+finished drains the pilots' queues first; a run that raised (a failed
+workflow, a diverging loss, Ctrl-C) stops its pilots without draining, so
+no worker thread outlives it. `_finish` writes the CSV and the session
+file, and is the only code that knows the session format.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ import csv
 import json
 import statistics
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,17 +131,15 @@ def load_session(session_path=SESSION_FILE) -> dict:
         return json.load(fh)
 
 
-def _session_payload(command, out_path, log_path, seed, snapshot, metrics, summary=None):
-    return {
-        "command": command,
-        "finished_at_s": time.time(),
-        "out_csv": str(out_path) if out_path else None,
-        "event_log": str(log_path) if log_path else None,
-        "seed": seed,
-        "snapshot": snapshot,
-        "metrics": metrics.to_json_dict(),
-        "summary": summary or {},
-    }
+# --- the run skeleton -----------------------------------------------------------
+
+
+def _positive_ints(values, what) -> list[int]:
+    """`values` as ints; ValidationError if there are none or any is below 1."""
+    ints = [int(v) for v in values]
+    if not ints or any(v < 1 for v in ints):
+        raise ValidationError(f"every {what} must be >= 1")
+    return ints
 
 
 def _local_pilot(name, cores, latency_s=0.0, seed=0) -> PilotDescription:
@@ -143,6 +150,58 @@ def _local_pilot(name, cores, latency_s=0.0, seed=0) -> PilotDescription:
         queue_model=QueueModel(per_task_latency_s=latency_s),
         seed=seed,
     )
+
+
+@contextmanager
+def _fleet(log_path, *pilots: PilotDescription, functions=None):
+    """A manager with `pilots` created, one worker per core, and ready.
+
+    On exit the manager shuts down, draining the queues if the block
+    finished and not if it raised, and then the event log closes. The log
+    appends, so fleets opened one after another write one stream.
+    """
+    with EventLog(path=log_path) as log:
+        manager = PilotManager(log=log, functions=functions)
+        finished = False
+        try:
+            for desc in pilots:
+                manager.create_pilot(desc)
+            manager.wait_pilots_ready()
+            yield manager
+            finished = True
+        finally:
+            manager.shutdown(drain=finished)
+
+
+def _finish(
+    command,
+    rows,
+    metrics: RunMetrics,
+    *,
+    out_path,
+    session_path,
+    seed,
+    log_path=None,
+    snapshot=None,
+    summary=None,
+    fieldnames=None,
+) -> RunMetrics:
+    """Write the CSV and the session file (the one place that knows its keys)."""
+    write_csv(out_path, fieldnames or rows[0].keys(), rows)
+    write_session(
+        {
+            "command": command,
+            "finished_at_s": time.time(),
+            "out_csv": str(out_path) if out_path else None,
+            "event_log": str(log_path) if log_path else None,
+            "seed": seed,
+            "snapshot": snapshot,
+            "metrics": metrics.to_json_dict(),
+            "summary": summary or {},
+        },
+        session_path,
+    )
+    return metrics
 
 
 # --- throughput ---------------------------------------------------------------------
@@ -157,31 +216,21 @@ def cmd_throughput(
     seed: int = 0,
     session_path=SESSION_FILE,
 ) -> RunMetrics:
-    """Zero-compute task storm; one CSV row per task count.
+    """Zero-compute task storm; one CSV row and one fleet per task count.
 
     runtime_incl_s counts pilot startup, runtime_excl_s only the
     submit-to-done window that throughput is computed from.
     """
-    counts = [int(t) for t in tasks_list]
-    if not counts or any(t < 1 for t in counts):
-        raise ValidationError("every task count must be >= 1")
+    counts = _positive_ints(tasks_list, "task count")
     if pilots < 1 or workers < 1:
         raise ValidationError("pilots and workers must be >= 1")
 
     rows = []
-    total_done = total_failed = 0
-    startup_total = execute_total = 0.0
-    snapshot = None
-    log = EventLog(path=log_path)
-    try:
-        for count in counts:
-            manager = PilotManager(log=log)
-            t0 = time.perf_counter()
-            for p in range(pilots):
-                manager.create_pilot(
-                    _local_pilot(f"tp{count}-{p}", cores=workers, seed=seed), workers=workers
-                )
-            manager.wait_pilots_ready()
+    startup_total = 0.0
+    for count in counts:
+        descs = [_local_pilot(f"tp{count}-{p}", cores=workers, seed=seed) for p in range(pilots)]
+        t0 = time.perf_counter()
+        with _fleet(log_path, *descs) as manager:
             t_ready = time.perf_counter()
             ids = [
                 manager.submit_task(
@@ -191,55 +240,47 @@ def cmd_throughput(
             ]
             manager.wait(ids)
             t_end = time.perf_counter()
-
             records = [manager.task(tid) for tid in ids]
-            done = sum(r.state is TaskState.DONE for r in records)
-            failed = sum(r.state is TaskState.FAILED for r in records)
-            dispatch_ms = sorted(
-                (r.timestamps.start_s - r.timestamps.schedule_s) * 1000.0
-                for r in records
-                if r.timestamps.start_s is not None
-            )
-            execute_s = t_end - t_ready
-            rows.append(
-                {
-                    "tasks": count,
-                    "pilots": pilots,
-                    "workers": workers,
-                    "done": done,
-                    "failed": failed,
-                    "runtime_incl_s": t_end - t0,
-                    "runtime_excl_s": execute_s,
-                    "tasks_per_s": done / execute_s if execute_s > 0 else 0.0,
-                    "median_dispatch_ms": statistics.median(dispatch_ms) if dispatch_ms else None,
-                    "p99_dispatch_ms": dispatch_ms[int(0.99 * (len(dispatch_ms) - 1))]
-                    if dispatch_ms
-                    else None,
-                }
-            )
-            total_done += done
-            total_failed += failed
-            startup_total += t_ready - t0
-            execute_total += execute_s
             snapshot = manager.status_snapshot()
-            manager.shutdown()
-    finally:
-        log.close()
 
-    write_csv(out_path, rows[0].keys(), rows)
+        done = sum(r.state is TaskState.DONE for r in records)
+        dispatch_ms = sorted(
+            (r.timestamps.start_s - r.timestamps.schedule_s) * 1000.0
+            for r in records
+            if r.timestamps.start_s is not None
+        )
+        execute_s = t_end - t_ready
+        rows.append(
+            {
+                "tasks": count,
+                "pilots": pilots,
+                "workers": workers,
+                "done": done,
+                "failed": sum(r.state is TaskState.FAILED for r in records),
+                "runtime_incl_s": t_end - t0,
+                "runtime_excl_s": execute_s,
+                "tasks_per_s": done / execute_s if execute_s > 0 else 0.0,
+                "median_dispatch_ms": statistics.median(dispatch_ms) if dispatch_ms else None,
+                "p99_dispatch_ms": dispatch_ms[int(0.99 * (len(dispatch_ms) - 1))]
+                if dispatch_ms
+                else None,
+            }
+        )
+        startup_total += t_ready - t0
+
     metrics = RunMetrics(
         workload="throughput",
         params={"tasks": ",".join(map(str, counts)), "pilots": str(pilots), "workers": str(workers)},
-        phase_s={"startup": startup_total, "execute": execute_total},
+        phase_s={"startup": startup_total, "execute": sum(r["runtime_excl_s"] for r in rows)},
         tasks_total=sum(counts),
-        tasks_done=total_done,
-        tasks_failed=total_failed,
+        tasks_done=sum(r["done"] for r in rows),
+        tasks_failed=sum(r["failed"] for r in rows),
     )
-    write_session(
-        _session_payload("throughput", out_path, log_path, seed, snapshot, metrics),
-        session_path,
+    return _finish(
+        "throughput", rows, metrics,
+        out_path=out_path, session_path=session_path, seed=seed,
+        log_path=log_path, snapshot=snapshot,
     )
-    return metrics
 
 
 # --- circuit-execution scaling ----------------------------------------------------------
@@ -269,13 +310,14 @@ def cmd_circuits(
     mean stays flat while the latency dominates. mean_s/std_s aggregate the
     per-task backend execution times of DONE tasks (for qpu_sim: modelled
     latency plus host simulation wall time); std_s is empty when count == 1.
-    Every circuit and task description is built before the first submit.
+    Every circuit and task description is built before the first submit,
+    and each backend runs on its own fleet.
     """
-    sizes = [int(n) for n in qubits_list]
-    if not sizes or any(n < 1 for n in sizes):
-        raise ValidationError("every qubit count must be >= 1")
+    sizes = _positive_ints(qubits_list, "qubit count")
     if count < 1:
         raise ValidationError("count must be >= 1")
+    if not backends:
+        raise ValidationError("backends must name at least one of local, qpu_sim")
     bad = set(backends) - {"local", "qpu_sim"}
     if bad:
         raise ValidationError(f"unknown backends: {sorted(bad)}")
@@ -287,88 +329,68 @@ def cmd_circuits(
         for n in sizes
     }
     rows = []
-    total = done_total = failed_total = 0
+    done_total = failed_total = 0
     execute_total = 0.0
-    snapshot = None
-    log = EventLog(path=log_path)
-    try:
-        for backend in backends:
-            manager = PilotManager(log=log)
-            if backend == "local":
-                manager.create_pilot(
-                    _local_pilot(f"sim-{backend}", cores=workers, seed=seed), workers=workers
-                )
-            else:
-                manager.create_pilot(
-                    PilotDescription(
-                        name=f"sim-{backend}",
-                        backend_kind=BackendKind.QPU_SIM,
-                        cores_per_node=workers,
-                        qpu_qubits=max(sizes),
-                        queue_model=QueueModel(per_task_latency_s=qpu_latency_s),
-                        seed=seed,
+    for backend in backends:
+        qpu = backend == "qpu_sim"
+        task_shots = shots if qpu else 0
+        pilot = PilotDescription(
+            name=f"sim-{backend}",
+            backend_kind=BackendKind(backend),
+            cores_per_node=workers,
+            qpu_qubits=max(sizes) if qpu else 0,
+            queue_model=QueueModel(per_task_latency_s=qpu_latency_s if qpu else 0.0),
+            seed=seed,
+        )
+        descs_by_size = {
+            n: [
+                TaskDescription(
+                    task_id=f"{backend}-q{n}-{i}",
+                    kind=TaskKind.QUANTUM_CIRCUIT,
+                    payload=QuantumPayload(
+                        circuit=circuit,
+                        shots=task_shots,
+                        observable=None if qpu else PauliObservable.single(n, {0: "Z"}),
                     ),
-                    workers=workers,
+                    requires_qubits=n,
                 )
-            manager.wait_pilots_ready()
-            descs_by_size = {
-                n: [
-                    TaskDescription(
-                        task_id=f"{backend}-q{n}-{i}",
-                        kind=TaskKind.QUANTUM_CIRCUIT,
-                        payload=(
-                            QuantumPayload(
-                                circuit=circuit,
-                                shots=0,
-                                observable=PauliObservable.single(n, {0: "Z"}),
-                            )
-                            if backend == "local"
-                            else QuantumPayload(circuit=circuit, shots=shots)
-                        ),
-                        requires_qubits=n,
-                    )
-                    for i, circuit in enumerate(circuits[n])
-                ]
-                for n in sizes
-            }
+                for i, circuit in enumerate(circuits[n])
+            ]
+            for n in sizes
+        }
+        with _fleet(log_path, pilot) as manager:
             t0 = time.perf_counter()
-            ids_by_size = {
-                n: [manager.submit_task(desc) for desc in descs]
-                for n, descs in descs_by_size.items()
-            }
-            all_ids = [tid for ids in ids_by_size.values() for tid in ids]
-            manager.wait(all_ids)
+            manager.wait(
+                [manager.submit_task(d) for descs in descs_by_size.values() for d in descs]
+            )
             execute_total += time.perf_counter() - t0
-
-            for n in sizes:
-                records = [manager.task(tid) for tid in ids_by_size[n]]
-                exec_times = [
-                    r.result.exec_s
-                    for r in records
-                    if r.state is TaskState.DONE and r.result is not None
-                ]
-                failed = sum(r.state is TaskState.FAILED for r in records)
-                rows.append(
-                    {
-                        "backend": backend,
-                        "qubits": n,
-                        "tasks": count,
-                        "failed": failed,
-                        "depth": depth,
-                        "shots": shots if backend == "qpu_sim" else 0,
-                        "mean_s": statistics.fmean(exec_times) if exec_times else None,
-                        "std_s": statistics.stdev(exec_times) if len(exec_times) > 1 else None,
-                    }
-                )
-                total += count
-                done_total += len(exec_times)
-                failed_total += failed
+            records_by_size = {
+                n: [manager.task(d.task_id) for d in descs] for n, descs in descs_by_size.items()
+            }
             snapshot = manager.status_snapshot()
-            manager.shutdown()
-    finally:
-        log.close()
 
-    write_csv(out_path, rows[0].keys(), rows)
+        for n, records in records_by_size.items():
+            exec_times = [
+                r.result.exec_s
+                for r in records
+                if r.state is TaskState.DONE and r.result is not None
+            ]
+            failed = sum(r.state is TaskState.FAILED for r in records)
+            rows.append(
+                {
+                    "backend": backend,
+                    "qubits": n,
+                    "tasks": count,
+                    "failed": failed,
+                    "depth": depth,
+                    "shots": task_shots,
+                    "mean_s": statistics.fmean(exec_times) if exec_times else None,
+                    "std_s": statistics.stdev(exec_times) if len(exec_times) > 1 else None,
+                }
+            )
+            done_total += len(exec_times)
+            failed_total += failed
+
     metrics = RunMetrics(
         workload="circuits",
         params={
@@ -378,15 +400,15 @@ def cmd_circuits(
             "depth": str(depth),
         },
         phase_s={"execute": execute_total},
-        tasks_total=total,
+        tasks_total=count * len(rows),
         tasks_done=done_total,
         tasks_failed=failed_total,
     )
-    write_session(
-        _session_payload("circuits", out_path, log_path, seed, snapshot, metrics),
-        session_path,
+    return _finish(
+        "circuits", rows, metrics,
+        out_path=out_path, session_path=session_path, seed=seed,
+        log_path=log_path, snapshot=snapshot,
     )
-    return metrics
 
 
 # --- gradient benchmark ------------------------------------------------------------------
@@ -408,9 +430,7 @@ def cmd_gradients(
     even hold one state are status=oom. grad_fd_max_rel_err is the largest
     |adjoint - central_fd| scaled by the largest |central_fd| component.
     """
-    sizes = [int(n) for n in qubits_list]
-    if not sizes or any(n < 1 for n in sizes):
-        raise ValidationError("every qubit count must be >= 1")
+    sizes = _positive_ints(qubits_list, "qubit count")
     if layers < 1:
         raise ValidationError("layers must be >= 1")
 
@@ -418,62 +438,36 @@ def cmd_gradients(
     rows = []
     wall_start = time.perf_counter()
     for n in sizes:
-        num_params = 3 * n * layers
+        row = {
+            "n": n,
+            "num_params": 3 * n * layers,
+            "status": "oom",
+            "expect_s": None,
+            "grad_s": None,
+            "grad_fd_max_rel_err": None,
+        }
+        rows.append(row)
         if memory_bytes(n) >= memory_cap_bytes:
-            rows.append(
-                {
-                    "n": n,
-                    "num_params": num_params,
-                    "status": "oom",
-                    "expect_s": None,
-                    "grad_s": None,
-                    "grad_fd_max_rel_err": None,
-                }
-            )
             continue
-        params = rng.uniform(0.0, 2.0 * np.pi, num_params)
+        params = rng.uniform(0.0, 2.0 * np.pi, row["num_params"])
         circuit = sel_circuit(n, layers, params)
         observable = PauliObservable.single(n, {0: "Z"})
 
         t0 = time.perf_counter()
         state = run_circuit(circuit, memory_cap_bytes=memory_cap_bytes)
         expectation(state, observable)
-        expect_s = time.perf_counter() - t0
-
+        row.update(status="grad:oom", expect_s=time.perf_counter() - t0)
         if 3 * memory_bytes(n) >= memory_cap_bytes:
-            rows.append(
-                {
-                    "n": n,
-                    "num_params": num_params,
-                    "status": "grad:oom",
-                    "expect_s": expect_s,
-                    "grad_s": None,
-                    "grad_fd_max_rel_err": None,
-                }
-            )
             continue
 
         t1 = time.perf_counter()
         grad = adjoint_gradient(circuit, observable, memory_cap_bytes=memory_cap_bytes)
-        grad_s = time.perf_counter() - t1
-
-        rel_err = None
+        row.update(status="ok", grad_s=time.perf_counter() - t1)
         if fd_check:
             fd = _central_fd(circuit, observable, params, memory_cap_bytes)
             scale = max(float(np.max(np.abs(fd))), 1e-12)
-            rel_err = float(np.max(np.abs(grad - fd)) / scale)
-        rows.append(
-            {
-                "n": n,
-                "num_params": num_params,
-                "status": "ok",
-                "expect_s": expect_s,
-                "grad_s": grad_s,
-                "grad_fd_max_rel_err": rel_err,
-            }
-        )
+            row["grad_fd_max_rel_err"] = float(np.max(np.abs(grad - fd)) / scale)
 
-    write_csv(out_path, rows[0].keys(), rows)
     metrics = RunMetrics(
         workload="gradients",
         params={"qubits": ",".join(map(str, sizes)), "layers": str(layers)},
@@ -482,14 +476,11 @@ def cmd_gradients(
         tasks_done=0,
         tasks_failed=0,
     )
-    write_session(
-        _session_payload(
-            "gradients", out_path, None, seed, None, metrics,
-            summary={"rows": len(rows)},
-        ),
-        session_path,
+    return _finish(
+        "gradients", rows, metrics,
+        out_path=out_path, session_path=session_path, seed=seed,
+        summary={"rows": len(rows)},
     )
-    return metrics
 
 
 def _central_fd(circuit, observable, params, memory_cap_bytes) -> np.ndarray:
@@ -528,16 +519,14 @@ def cmd_cut(
     """Cut workflow per worker count, next to an uncut full-simulation baseline.
 
     The observable is Z on the first and last qubit. A single cluster has
-    nothing to cut and yields only the baseline row. Pilot per-task latency
-    stands in for the per-fragment backend cost that makes distributing
-    subexperiments worthwhile.
+    nothing to cut and yields only the baseline row. The baseline's value is
+    the oracle every row's abs_error is measured against, so the uncut
+    circuit is simulated once. Pilot per-task latency stands in for the
+    per-fragment backend cost that makes distributing subexperiments
+    worthwhile.
     """
-    sizes = [int(s) for s in cluster_sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValidationError("cluster sizes must be >= 1")
-    workers_list = [int(w) for w in workers_list]
-    if any(w < 1 for w in workers_list):
-        raise ValidationError("worker counts must be >= 1")
+    sizes = _positive_ints(cluster_sizes, "cluster size")
+    workers_list = _positive_ints(workers_list, "worker count") if workers_list else []
     if shots < 0:
         raise ValidationError("shots must be >= 0")
 
@@ -551,37 +540,33 @@ def cmd_cut(
     t0 = time.perf_counter()
     oracle_value = expectation(run_circuit(circuit), observable)
     baseline_s = time.perf_counter() - t0
-    rows = [
-        {
+
+    def row(workers, value, exec_s, plan_s=None, reconstruct_s=None, num_cuts=0,
+            subexperiments=1, sampling_overhead=1.0):
+        return {
             "config": config,
             "reps": reps,
             "shots": shots,
-            "workers": 0,
-            "num_cuts": 0,
-            "subexperiments": 1,
-            "sampling_overhead": 1.0,
-            "value": oracle_value,
+            "workers": workers,
+            "num_cuts": num_cuts,
+            "subexperiments": subexperiments,
+            "sampling_overhead": sampling_overhead,
+            "value": value,
             "oracle_value": oracle_value,
-            "abs_error": 0.0,
-            "plan_s": None,
-            "exec_s": baseline_s,
-            "reconstruct_s": None,
-            "total_s": baseline_s,
+            "abs_error": abs(value - oracle_value),
+            "plan_s": plan_s,
+            "exec_s": exec_s,
+            "reconstruct_s": reconstruct_s,
+            "total_s": sum(t for t in (plan_s, exec_s, reconstruct_s) if t is not None),
         }
-    ]
 
-    workloads_total = workloads_done = workloads_failed = 0
-    execute_total = baseline_s
+    rows = [row(0, oracle_value, baseline_s)]
     snapshot = None
-    log = EventLog(path=log_path)
-    try:
+    with _fleet(log_path) as manager:
         if len(sizes) >= 2:
-            manager = PilotManager(log=log)
             for w in workers_list:
-                pilot = f"cut-w{w}"
-                manager.create_pilot(
-                    _local_pilot(pilot, cores=w, latency_s=task_latency_s, seed=seed),
-                    workers=w,
+                pilot = manager.create_pilot(
+                    _local_pilot(f"cut-w{w}", cores=w, latency_s=task_latency_s, seed=seed)
                 )
                 manager.wait_pilots_ready()
                 result = run_cut_workflow(
@@ -590,37 +575,25 @@ def cmd_cut(
                     observable,
                     max_width=max_width,
                     shots=shots,
-                    oracle=True,
+                    oracle=False,
                     task_prefix=f"w{w}",
                 )
                 rows.append(
-                    {
-                        "config": config,
-                        "reps": reps,
-                        "shots": shots,
-                        "workers": w,
-                        "num_cuts": result.num_cuts,
-                        "subexperiments": result.num_subexperiments,
-                        "sampling_overhead": result.sampling_overhead,
-                        "value": result.value,
-                        "oracle_value": result.oracle_value,
-                        "abs_error": result.abs_error,
-                        "plan_s": result.plan_s,
-                        "exec_s": result.exec_s,
-                        "reconstruct_s": result.reconstruct_s,
-                        "total_s": result.plan_s + result.exec_s + result.reconstruct_s,
-                    }
+                    row(
+                        w,
+                        result.value,
+                        result.exec_s,
+                        plan_s=result.plan_s,
+                        reconstruct_s=result.reconstruct_s,
+                        num_cuts=result.num_cuts,
+                        subexperiments=result.num_subexperiments,
+                        sampling_overhead=result.sampling_overhead,
+                    )
                 )
-                workloads_total += result.num_subexperiments
-                workloads_done += result.num_subexperiments
-                execute_total += result.exec_s
                 manager.remove_pilot(pilot)
             snapshot = manager.status_snapshot()
-            manager.shutdown()
-    finally:
-        log.close()
 
-    write_csv(out_path, rows[0].keys(), rows)
+    subexperiments = sum(r["subexperiments"] for r in rows[1:])
     metrics = RunMetrics(
         workload="cut",
         params={
@@ -629,16 +602,16 @@ def cmd_cut(
             "shots": str(shots),
             "workers": ",".join(map(str, workers_list)),
         },
-        phase_s={"execute": execute_total},
-        tasks_total=workloads_total,
-        tasks_done=workloads_done,
-        tasks_failed=workloads_failed,
+        phase_s={"execute": sum(r["exec_s"] for r in rows)},
+        tasks_total=subexperiments,
+        tasks_done=subexperiments,
+        tasks_failed=0,
     )
-    write_session(
-        _session_payload("cut", out_path, log_path, seed, snapshot, metrics),
-        session_path,
+    return _finish(
+        "cut", rows, metrics,
+        out_path=out_path, session_path=session_path, seed=seed,
+        log_path=log_path, snapshot=snapshot,
     )
-    return metrics
 
 
 # --- vqc -------------------------------------------------------------------------------
@@ -652,15 +625,12 @@ def cmd_vqc(
     session_path=SESSION_FILE,
 ) -> RunMetrics:
     """Train the blob classifier through the manager; one CSV row per epoch."""
-    fieldnames = ["epoch", "loss", "train_accuracy", "grad_norm", "epoch_s"]
     rows = []
-    log = EventLog(path=log_path)
-    try:
-        manager = PilotManager(log=log, functions={BATCH_GRADIENT_FN: batch_gradient})
-        manager.create_pilot(
-            _local_pilot("vqc", cores=workers, seed=config.seed), workers=workers
-        )
-        manager.wait_pilots_ready()
+    with _fleet(
+        log_path,
+        _local_pilot("vqc", cores=workers, seed=config.seed),
+        functions={BATCH_GRADIENT_FN: batch_gradient},
+    ) as manager:
         t0 = time.perf_counter()
         run = train_vqc(
             config,
@@ -676,24 +646,18 @@ def cmd_vqc(
             ),
         )
         train_s = time.perf_counter() - t0
-        summary = {
-            "initial_loss": run.initial_loss,
-            "final_loss": run.final_loss,
-            "final_accuracy": run.final_accuracy,
-            "epochs": config.epochs,
-        }
-        if config.epochs == 0:
-            features, labels = make_blobs(config.samples, config.n_qubits, config.seed)
-            rng = np.random.default_rng(config.seed + 1)
-            params = rng.uniform(-0.1, 0.1, config.num_params)
-            loss, acc = evaluate(config, params, features, labels)
-            summary.update({"untrained_loss": loss, "untrained_accuracy": acc})
         snapshot = manager.status_snapshot()
-        manager.shutdown()
-    finally:
-        log.close()
 
-    write_csv(out_path, fieldnames, rows)
+    summary = {
+        "initial_loss": run.initial_loss,
+        "final_loss": run.final_loss,
+        "final_accuracy": run.final_accuracy,
+        "epochs": config.epochs,
+    }
+    if config.epochs == 0:  # run.params is still the initial draw
+        features, labels = make_blobs(config.samples, config.n_qubits, config.seed)
+        loss, acc = evaluate(config, run.params, features, labels)
+        summary.update({"untrained_loss": loss, "untrained_accuracy": acc})
     tallies = snapshot.get("tasks", {})
     done = int(tallies.get(TaskState.DONE.value, 0))
     failed = int(tallies.get(TaskState.FAILED.value, 0))
@@ -705,13 +669,12 @@ def cmd_vqc(
         tasks_done=done,
         tasks_failed=failed,
     )
-    write_session(
-        _session_payload(
-            "vqc", out_path, log_path, config.seed, snapshot, metrics, summary=summary
-        ),
-        session_path,
+    return _finish(
+        "vqc", rows, metrics,
+        out_path=out_path, session_path=session_path, seed=config.seed,
+        log_path=log_path, snapshot=snapshot, summary=summary,
+        fieldnames=["epoch", "loss", "train_accuracy", "grad_norm", "epoch_s"],
     )
-    return metrics
 
 
 # --- status ------------------------------------------------------------------------------

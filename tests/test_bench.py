@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from pilotq.bench.vqc import (
     make_blobs,
     train_vqc,
 )
-from pilotq.errors import NoActiveSession, ValidationError
+from pilotq.errors import NoActiveSession, ValidationError, WidthExceeded
+from pilotq.events import read_events, replay_tallies
 from pilotq.manager import PilotManager
 
 
@@ -208,6 +210,10 @@ def test_circuits_rejects_unknown_backend(tmp_path):
         )
     with pytest.raises(ValidationError):
         cmd_circuits([2], count=0, out_path=tmp_path / "x.csv", session_path=tmp_path / "s.json")
+    with pytest.raises(ValidationError):
+        cmd_circuits(
+            [2], backends=(), out_path=tmp_path / "x.csv", session_path=tmp_path / "s.json"
+        )
 
 
 # --- gradients runner -----------------------------------------------------------------
@@ -296,6 +302,13 @@ def test_cut_rejects_bad_inputs(tmp_path):
             out_path=tmp_path / "x.csv",
             session_path=tmp_path / "s.json",
         )
+
+
+def test_a_failed_cut_run_stops_its_pilots(tmp_path):
+    before = {t.name for t in threading.enumerate()}
+    with pytest.raises(WidthExceeded):
+        cmd_cut([2, 2], max_width=2, out_path=tmp_path / "x.csv", session_path=tmp_path / "s.json")
+    assert {t.name for t in threading.enumerate()} == before
 
 
 # --- vqc pieces ------------------------------------------------------------------------
@@ -405,6 +418,50 @@ def test_vqc_runner_writes_epoch_rows(tmp_path):
     assert all(float(r["grad_norm"]) >= 0 for r in rows)
     assert metrics.tasks_done == 4  # two batches per epoch
     assert metrics.tasks_failed == 0
+
+
+# --- session and log contract ------------------------------------------------------------
+
+
+_CONTRACT_RUNS = {
+    "throughput": lambda **kw: cmd_throughput([3, 5], workers=2, seed=1, **kw),
+    "circuits": lambda **kw: cmd_circuits(
+        [2, 3], count=2, depth=3, shots=32, qpu_latency_s=0.0, workers=2, seed=1, **kw
+    ),
+    "gradients": lambda log_path, **kw: cmd_gradients([2], layers=1, seed=1, **kw),
+    "cut": lambda **kw: cmd_cut([2, 2], workers_list=(1, 2), task_latency_s=0.0, seed=1, **kw),
+    "vqc": lambda **kw: cmd_vqc(
+        VqcConfig(n_qubits=2, layers=1, samples=6, batch_size=3, epochs=1, seed=1),
+        workers=2,
+        **kw,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONTRACT_RUNS))
+def test_session_file_and_event_log_agree_with_the_metrics(tmp_path, command):
+    session = tmp_path / "s.json"
+    log = tmp_path / "events.jsonl"
+    metrics = _CONTRACT_RUNS[command](
+        out_path=tmp_path / "out.csv", log_path=log, session_path=session
+    )
+    payload = json.loads(session.read_text())
+    assert set(payload) == {
+        "command",
+        "finished_at_s",
+        "out_csv",
+        "event_log",
+        "seed",
+        "snapshot",
+        "metrics",
+        "summary",
+    }
+    assert payload["command"] == command
+    assert payload["metrics"] == metrics.to_json_dict()
+    assert (payload["snapshot"] is None) == (command == "gradients")
+    if command != "gradients":
+        assert metrics.tasks_done > 0
+        assert replay_tallies(read_events(log))["DONE"] == metrics.tasks_done
 
 
 # --- status ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Every name a pilotq module imports is used in that module.
+"""Dead-code scans over the pilotq sources.
 
-No linter ships with the project, so this walks each module's AST instead.
-Package `__init__` modules are skipped: their imports are re-exports.
+Every name a pilotq module imports is used in that module, and every private
+(`_`-prefixed) module-level function, class or constant is referenced
+somewhere in the package. No linter ships with the project, so these walk
+each module's AST instead. The import scan skips package `__init__`
+modules: their imports are re-exports.
 """
 
 import ast
@@ -20,18 +23,11 @@ def _annotation_names(node: ast.expr | None) -> set[str]:
     return set()
 
 
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
-    imported: dict[str, int] = {}
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names a module reads, including those inside quoted annotations."""
     used: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.arg):
             used |= _annotation_names(node.annotation)
@@ -39,6 +35,20 @@ def unused_imports(source: str) -> list[str]:
             used |= _annotation_names(node.returns)
         elif isinstance(node, ast.AnnAssign):
             used |= _annotation_names(node.annotation)
+    return used
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = _names_read(tree)
     return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
 
 
@@ -63,3 +73,65 @@ def test_the_scan_flags_only_unused_names():
         "from pathlib import Path\n"
     )
     assert unused_imports(source) == ["line 2: json", "line 3: field"]
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module-level `_name` functions, classes and assigned constants."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return [(n, line) for n, line in found if n.startswith("_") and not n.startswith("__")]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in a module."""
+    refs = _names_read(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs |= {alias.name for alias in node.names}
+    return refs
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """`module:line name` for each private definition no module refers to."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set().union(*(_references(tree) for tree in trees.values()))
+    return sorted(
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name not in referenced
+    )
+
+
+def test_every_private_module_level_name_is_referenced():
+    sources = {
+        str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert unreferenced_private_names(sources) == []
+
+
+def test_the_private_name_scan_flags_only_unreferenced_names():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_unused_total: int = 0\n"
+            "class _Shape: pass\n"
+            "def _helper(): return _LIMIT\n"
+            "def _session_payload(): return {}\n"
+            "def public(x: '_Shape'): return x\n"
+            "__all__ = ['public']\n"
+        ),
+        "b.py": "from a import _helper\n_helper()\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        "a.py:2 _unused_total",
+        "a.py:5 _session_payload",
+    ]

@@ -20,7 +20,10 @@ downstream fragment with a fresh re-prepared wire as its control. One cut
 therefore needs 9 fragment circuits (3 upstream measurement bases, with the
 Z run reused for the I term, plus 6 downstream preparations) feeding all
 8 reconstruction terms; a 3-cluster chain needs 3 + 3*6 + 6 = 27 circuits
-for 64 terms.
+for 64 terms. The 8^k terms of k cuts are never listed: each fragment gives
+a value table with one 8-row axis per cut it touches, and reconstruction
+contracts the tables along the chain at a cost linear in k. Only the shot
+overhead stays 16^k.
 
 Observables are restricted to a single Pauli string: each fragment rotates
 X/Y letters onto Z at the end of its circuit, measures everything in the
@@ -328,56 +331,49 @@ class Subexperiment(JsonRecord):
 
 
 @dataclass(frozen=True)
-class ReconstructionTerm(JsonRecord):
-    """coeff times the product of the named fragment values."""
+class Reconstruction(JsonRecord):
+    """The wire-cut expansion of a chain plan as one value table per fragment.
+
+    `tables[f]` holds fragment f's value keys row-major over its (prepped,
+    measured) cuts, each axis running over the WIRE_CUT_TERMS rows: 8 keys at
+    either end of the chain, 64 in the middle. `len` counts the 8^k terms.
+    """
 
     coeff: float
-    factors: tuple[str, ...]
+    tables: tuple[tuple[str, ...], ...]
+
+    def __len__(self) -> int:
+        return len(WIRE_CUT_TERMS) ** (len(self.tables) - 1)
 
 
-def _value_key(fragment: int, preps: Mapping[int, str], meas: Mapping[int, str]) -> str:
+def _key(fragment: int, preps: Mapping[int, str], tag: str, picks: Mapping[int, str]) -> str:
+    """Tag "m" keys a fragment value by measured letters, "b" a run by bases."""
     parts = [f"f{fragment}"]
     parts += [f"p{c}={preps[c]}" for c in sorted(preps)]
-    parts += [f"m{c}={meas[c]}" for c in sorted(meas)]
+    parts += [f"{tag}{c}={picks[c]}" for c in sorted(picks)]
     return ",".join(parts)
 
 
-def _sub_key(fragment: int, preps: Mapping[int, str], bases: Mapping[int, str]) -> str:
-    parts = [f"f{fragment}"]
-    parts += [f"p{c}={preps[c]}" for c in sorted(preps)]
-    parts += [f"b{c}={bases[c]}" for c in sorted(bases)]
-    return ",".join(parts)
-
-
-def _wire_of(plan: CutPlan, fragment: int, cut_id: int, side: str) -> int:
-    cut = plan.cuts[cut_id]
-    if side == "up":
-        assert cut.upstream_fragment == fragment
-        return cut.upstream_wire
-    assert cut.downstream_fragment == fragment
-    return cut.downstream_wire
-
-
-def generate_subexperiments(
-    plan: CutPlan,
-) -> tuple[list[Subexperiment], tuple[ReconstructionTerm, ...]]:
-    """All fragment circuits to run, plus the terms that combine them."""
+def generate_subexperiments(plan: CutPlan) -> tuple[list[Subexperiment], Reconstruction]:
+    """All fragment circuits to run, plus the tables that combine their values."""
     subs: list[Subexperiment] = []
+    tables: list[tuple[str, ...]] = []
     for frag in plan.fragments:
         obs_mask = 0
         for wire in frag.letters:
             obs_mask |= 1 << wire
+        keys: dict[tuple[tuple[str, ...], tuple[str, ...]], str] = {}
         for preps in itertools.product(PREP_LABELS, repeat=len(frag.prepped_cuts)):
             prep_map = dict(zip(frag.prepped_cuts, preps))
             for bases in itertools.product(MEASURE_BASES, repeat=len(frag.measured_cuts)):
                 basis_map = dict(zip(frag.measured_cuts, bases))
                 prefix = [
-                    Gate(name, (_wire_of(plan, frag.index, c, "down"),))
+                    Gate(name, (plan.cuts[c].downstream_wire,))
                     for c in frag.prepped_cuts
                     for name in _PREP_GATES[prep_map[c]]
                 ]
                 suffix = [
-                    Gate(name, (_wire_of(plan, frag.index, c, "up"),))
+                    Gate(name, (plan.cuts[c].upstream_wire,))
                     for c in frag.measured_cuts
                     for name in _BASIS_ROTATIONS[basis_map[c]]
                 ]
@@ -394,11 +390,12 @@ def generate_subexperiments(
                     mask = obs_mask
                     for c, letter in meas_map.items():
                         if letter != "I":
-                            mask |= 1 << _wire_of(plan, frag.index, c, "up")
-                    value_keys.append((_value_key(frag.index, prep_map, meas_map), mask))
+                            mask |= 1 << plan.cuts[c].upstream_wire
+                    keys[preps, letters] = _key(frag.index, prep_map, "m", meas_map)
+                    value_keys.append((keys[preps, letters], mask))
                 subs.append(
                     Subexperiment(
-                        key=_sub_key(frag.index, prep_map, basis_map),
+                        key=_key(frag.index, prep_map, "b", basis_map),
                         fragment=frag.index,
                         preps=prep_map,
                         bases=basis_map,
@@ -406,23 +403,16 @@ def generate_subexperiments(
                         value_keys=tuple(value_keys),
                     )
                 )
+        tables.append(
+            tuple(
+                keys[tuple(r.prep for r in ins), tuple(r.measure for r in outs)]
+                for ins in itertools.product(WIRE_CUT_TERMS, repeat=len(frag.prepped_cuts))
+                for outs in itertools.product(WIRE_CUT_TERMS, repeat=len(frag.measured_cuts))
+            )
+        )
 
     obs_coeff, _ = plan.observable.terms[0]
-    terms: list[ReconstructionTerm] = []
-    for rows in itertools.product(WIRE_CUT_TERMS, repeat=plan.num_cuts):
-        coeff = obs_coeff
-        for row in rows:
-            coeff *= row.coeff
-        factors = tuple(
-            _value_key(
-                frag.index,
-                {c: rows[c].prep for c in frag.prepped_cuts},
-                {c: rows[c].measure for c in frag.measured_cuts},
-            )
-            for frag in plan.fragments
-        )
-        terms.append(ReconstructionTerm(coeff=coeff, factors=factors))
-    return subs, tuple(terms)
+    return subs, Reconstruction(coeff=obs_coeff, tables=tuple(tables))
 
 
 def _signed_sum_probabilities(probs: np.ndarray, mask: int) -> float:
@@ -461,16 +451,21 @@ def fragment_values(
     return {key: _signed_sum_counts(counts, mask) for key, mask in sub.value_keys}
 
 
-def reconstruct(terms: Iterable[ReconstructionTerm], values: Mapping[str, float]) -> float:
-    total = 0.0
-    for term in terms:
-        product = term.coeff
-        for key in term.factors:
-            if key not in values:
-                raise MissingFragmentValue(key)
-            product *= values[key]
-        total += product
-    return total
+def reconstruct(expansion: Reconstruction, values: Mapping[str, float]) -> float:
+    """Contract the fragment tables along the cut chain: fragment f preps cut
+    f-1 and measures cut f, so a vector over the open cut's rows, weighted by
+    their coefficients, carries the sum over the fragments folded so far."""
+    try:
+        first, *middle, last = (
+            np.array([values[key] for key in table]) for table in expansion.tables
+        )
+    except KeyError as exc:
+        raise MissingFragmentValue(exc.args[0]) from None
+    coeffs = np.array([row.coeff for row in WIRE_CUT_TERMS])
+    carry = first * coeffs
+    for table in middle:
+        carry = np.einsum("i,ij,j->j", carry, table.reshape(coeffs.size, -1), coeffs)
+    return expansion.coeff * float(np.sum(carry * last))
 
 
 # --- end-to-end workflow ------------------------------------------------------------
@@ -512,7 +507,7 @@ def run_cut_workflow(
     """
     t0 = time.perf_counter()
     plan = find_cuts(circuit, observable, max_width)
-    subs, terms = generate_subexperiments(plan)
+    subs, expansion = generate_subexperiments(plan)
     descs = [
         TaskDescription(
             task_id=f"{task_prefix}-{sub.key}",
@@ -548,7 +543,7 @@ def run_cut_workflow(
     exec_s = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    value = reconstruct(terms, values)
+    value = reconstruct(expansion, values)
     reconstruct_s = time.perf_counter() - t2
 
     oracle_value = None

@@ -352,6 +352,13 @@ class PilotManager:
             }
 
     def shutdown(self, drain: bool = True) -> None:
+        if not drain:
+            # Cancel every queue before removing any pilot: a removal hands
+            # its queue to the pilots still live, and they would start it.
+            with self._lock:
+                for agent in self._pilots.values():
+                    for tid, _ in agent.take_back_queued():
+                        self.cancel(tid)
         for name in list(self.pilot_names()):
             try:
                 self.remove_pilot(name, drain=drain)

@@ -35,10 +35,6 @@ class TaskStore:
             except KeyError:
                 raise UnknownTaskId(task_id) from None
 
-    def __contains__(self, task_id: str) -> bool:
-        with self._lock:
-            return task_id in self._records
-
     def snapshot(self) -> dict[str, TaskRecord]:
         with self._lock:
             return dict(self._records)

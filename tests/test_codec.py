@@ -89,7 +89,7 @@ RECORDS = [
     _PLAN.fragments[1],
     _PLAN,
     _SUBS[-1],
-    _TERMS[-1],
+    _TERMS,
     CutWorkflowResult(
         value=0.25,
         oracle_value=None,

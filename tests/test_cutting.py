@@ -6,6 +6,7 @@ under test beyond the term table itself.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,16 @@ def test_reconstruct_flags_missing_values():
     with pytest.raises(MissingFragmentValue):
         reconstruct(terms, {})
 
+    # every value but one of a middle fragment's: the gap must not read as 0
+    circ = clustered_circuit([2, 2, 2], reps=1, seed=0)
+    plan = find_cuts(circ, PauliObservable.single(6, {0: "Z", 5: "Z"}), max_width=3)
+    subs, terms = generate_subexperiments(plan)
+    values = {key: 0.5 for sub in subs for key, _ in sub.value_keys}
+    gone = next(key for sub in subs if sub.fragment == 1 for key, _ in sub.value_keys)
+    del values[gone]
+    with pytest.raises(MissingFragmentValue, match=re.escape(gone)):
+        reconstruct(terms, values)
+
 
 # --- end-to-end equivalence ---------------------------------------------------------
 
@@ -296,6 +307,21 @@ def test_exact_reconstruction_equals_uncut_expectation(sizes, seed):
     # also cross-check the uncut value against the dense oracle
     assert want == pytest.approx(oracle_expectation(oracle_run(circ), obs), abs=1e-10)
     assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_ten_cuts_reconstruct_exactly():
+    # 8^10 terms: reconstruction must contract the chain, not list the terms
+    circ = clustered_circuit([2] * 11, reps=2)
+    obs = PauliObservable.single(22, {0: "Z", 21: "Z"})
+    plan = find_cuts(circ, obs, max_width=3)
+    subs, terms = generate_subexperiments(plan)
+    assert plan.num_cuts == 10
+    assert len(subs) == 171
+    assert len(terms) == 8**10
+    values = {}
+    for sub in subs:
+        values.update(fragment_values(sub, probabilities=probabilities(run_circuit(sub.circuit))))
+    assert reconstruct(terms, values) == pytest.approx(expectation(run_circuit(circ), obs), abs=1e-9)
 
 
 def test_identity_observable_reconstructs_to_its_coefficient():

@@ -135,3 +135,13 @@ def test_the_private_name_scan_flags_only_unreferenced_names():
         "a.py:2 _unused_total",
         "a.py:5 _session_payload",
     ]
+
+
+def test_every_exported_name_resolves_once():
+    import pilotq.bench
+    import pilotq.qsim
+
+    for package in (pilotq, pilotq.qsim, pilotq.bench):
+        exported = package.__all__
+        assert len(exported) == len(set(exported)), package.__name__
+        assert [name for name in exported if not hasattr(package, name)] == [], package.__name__

@@ -443,3 +443,33 @@ def test_shutdown_drains_everything(manager):
     manager.shutdown(drain=True)
     assert all(manager.task(t).state is TaskState.DONE for t in ids)
     assert manager.pilot_names() == []
+
+
+def test_cancel_shutdown_cancels_every_queue(manager):
+    # one running task per 1-core pilot, three queued behind each: a
+    # cancel-shutdown finishes the running three and cancels the other nine
+    started, release = threading.Semaphore(0), threading.Event()
+    manager.register_function("block", blocking_function(started, release))
+    for name in ("a", "b", "c"):
+        manager.create_pilot(local_desc(name, cores=1))
+    ids = [
+        manager.submit_task(
+            TaskDescription(
+                task_id=f"t{i}", kind=TaskKind.CLASSICAL_FN, payload=ClassicalPayload(function="block")
+            )
+        )
+        for i in range(12)
+    ]
+    stopper = threading.Thread(target=manager.shutdown, kwargs={"drain": False})
+    try:
+        assert all(started.acquire(timeout=5.0) for _ in range(3))
+        stopper.start()
+        # the running tasks end only once every queue has been dealt with
+        manager.wait(ids[3:], timeout=5.0)
+    finally:
+        release.set()
+    stopper.join(timeout=5.0)
+    assert not stopper.is_alive()
+    states = {tid: rec.state for tid, rec in manager.store.snapshot().items()}
+    assert sorted(s.value for s in states.values()) == ["CANCELED"] * 9 + ["DONE"] * 3
+    assert replay_task_states(manager.log.records) == states

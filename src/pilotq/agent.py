@@ -12,7 +12,8 @@ schedule -> start -> complete/fail transitions through the shared task
 store. That keeps the schedule->start gap (the dispatch overhead) down to
 the worker handoff instead of including queue wait. Cancellation of queued
 work is a queue removal plus a NEW -> CANCELED transition; a task that
-already reached a worker is not cancelable.
+already reached a worker is not cancelable. The store logs the event of
+each transition; the agent itself logs only agent_ready and agent_stopped.
 
 The agent reports readiness only once the clock passes the allocation's
 granted_at_s, it refuses dispatch after expires_at_s, and shutdown(drain)
@@ -40,7 +41,6 @@ from pilotq.model import (
     TaskKind,
     TaskRecord,
     TaskResult,
-    TaskState,
 )
 from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES
 from pilotq.store import TaskStore
@@ -52,8 +52,6 @@ class AgentMetrics(JsonRecord):
     tasks_failed: int = 0
     busy_cores: int = 0
     queue_depth: int = 0
-    total_exec_s: float = 0.0
-    agent_overhead_s: float = 0.0
 
 
 def task_seed(task_id: str) -> int:
@@ -90,7 +88,7 @@ class PilotAgent:
         self._workers = workers
         self._clock = clock or WallClock()
         self._log = log or EventLog(clock=self._clock)
-        self._store = store or TaskStore(self._clock)
+        self._store = store or TaskStore(self._clock, self._log)
         self._functions = functions or {}
         self._backend = backend
         self._on_terminal = on_terminal
@@ -107,8 +105,6 @@ class PilotAgent:
 
         self._tasks_done = 0
         self._tasks_failed = 0
-        self._total_exec_s = 0.0
-        self._overhead_s = 0.0
 
     # --- lifecycle -------------------------------------------------------------
 
@@ -162,8 +158,6 @@ class PilotAgent:
                 tasks_failed=self._tasks_failed,
                 busy_cores=self._workers - self._free_slots,
                 queue_depth=len(self._queue),
-                total_exec_s=self._total_exec_s,
-                agent_overhead_s=self._overhead_s,
             )
 
     def shutdown(self, drain: bool = True) -> AgentMetrics:
@@ -179,9 +173,8 @@ class PilotAgent:
                 self._queue.clear()
             self._cond.notify_all()
         for tid, _ in canceled:
-            rec = self._store.try_advance(tid, "cancel")
+            rec = self._store.try_advance(tid, "cancel", reason="agent shutdown")
             if rec is not None:
-                self._log.emit("task", tid, "task_canceled", pilot=self.name, reason="agent shutdown")
                 self._notify(rec)
         for t in self._threads:
             t.join()
@@ -274,15 +267,8 @@ class PilotAgent:
             self._finish_fail(tid, fail_fast)
             return
 
-        rec = store.try_advance(tid, "start")
-        if rec is None:
+        if store.try_advance(tid, "start") is None:
             return
-        dispatch_s = (rec.timestamps.start_s or 0.0) - (rec.timestamps.schedule_s or 0.0)
-        with self._cond:
-            self._overhead_s += dispatch_s
-        self._log.emit(
-            "task", tid, "task_started", pilot=self.name, dispatch_ms=f"{dispatch_s * 1e3:.3f}"
-        )
 
         try:
             result = self._execute_payload(tid, desc)
@@ -293,25 +279,12 @@ class PilotAgent:
         final = store.advance(tid, "complete", result=result)
         with self._cond:
             self._tasks_done += 1
-            if result.exec_s is not None:
-                self._total_exec_s += result.exec_s
-        self._log.emit(
-            "task", tid, "task_done", pilot=self.name,
-            exec_s="" if result.exec_s is None else f"{result.exec_s:.6f}",
-        )
         self._notify(final)
 
     def _finish_fail(self, tid: str, error: str) -> None:
         final = self._store.advance(tid, "fail", error=error[:500])
         with self._cond:
             self._tasks_failed += 1
-        if final.state is TaskState.NEW:
-            self._log.emit(
-                "task", tid, "task_retry", pilot=self.name,
-                attempt=final.attempt, error=error[:200],
-            )
-        else:
-            self._log.emit("task", tid, "task_failed", pilot=self.name, error=error[:200])
         self._notify(final)
 
     def _notify(self, record: TaskRecord) -> None:

@@ -219,15 +219,9 @@ class ResourceBackend:
 
 
 def make_backends(
-    ceilings: dict[BackendKind, BackendCeilings] | None = None,
-    *,
-    clock: Clock | None = None,
-    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
+    *, clock: Clock | None = None, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES
 ) -> dict[BackendKind, ResourceBackend]:
-    ceilings = ceilings or {}
     return {
-        kind: ResourceBackend(
-            kind, ceilings.get(kind), clock=clock, memory_cap_bytes=memory_cap_bytes
-        )
+        kind: ResourceBackend(kind, clock=clock, memory_cap_bytes=memory_cap_bytes)
         for kind in BackendKind
     }

@@ -495,7 +495,6 @@ def run_cut_workflow(
     shots: int = 0,
     oracle: bool = True,
     task_prefix: str = "cut",
-    max_retries: int = 0,
     timeout: float | None = None,
 ) -> CutWorkflowResult:
     """Cut, fan the fragments out as tasks, and reconstruct the expectation.
@@ -514,7 +513,6 @@ def run_cut_workflow(
             kind=TaskKind.QUANTUM_CIRCUIT,
             payload=QuantumPayload(circuit=sub.circuit, shots=shots),
             requires_qubits=sub.circuit.num_qubits,
-            max_retries=max_retries,
         )
         for sub in subs
     ]

@@ -34,10 +34,6 @@ class DoubleRelease(PilotQError):
     """An allocation was released twice."""
 
 
-class WalltimeExpired(PilotQError):
-    """A task was dispatched after the allocation's walltime ran out."""
-
-
 class QubitCapacityExceeded(PilotQError):
     """A circuit is wider than the allocation's QPU supports."""
 

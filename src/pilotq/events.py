@@ -2,12 +2,15 @@
 
 Every lifecycle step in the middleware appends one EventRecord. Timestamps
 are taken under the log's lock from a monotonic clock, so ts_s is
-non-decreasing within a stream. Event names currently emitted:
+non-decreasing within a stream. Who writes which event:
 
-    task_submitted, task_assigned, task_scheduled is folded into
-    task_started (attrs carry dispatch latency), task_done, task_failed,
-    task_retry, task_requeued, task_canceled, pilot_created,
-    pilot_removed, agent_ready, agent_stopped.
+    TaskStore     task_submitted, task_started (attrs carry the dispatch
+                  latency; there is no task_scheduled), task_done,
+                  task_retry, task_failed, task_canceled: each inside
+                  the store transition that causes it
+    PilotManager  task_assigned, task_requeued, pilot_created,
+                  pilot_removed
+    PilotAgent    agent_ready, agent_stopped
 
 `replay_task_states` rebuilds the final per-task states from a stream; the
 benchmarks assert that this matches the live records exactly.

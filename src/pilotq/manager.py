@@ -22,6 +22,8 @@ in-agent, so their capacity is whatever the memory cap admits.
 "Configured" pilots are every pilot ever created, including removed ones:
 a task that fits a temporarily removed pilot waits instead of failing,
 and with no pilots configured at all every task waits for one to appear.
+`shutdown` cancels whatever is still pending once every pilot is gone.
+The task store writes every task-lifecycle event into the manager's log.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from pilotq.agent import AgentMetrics, PilotAgent
-from pilotq.backends import BackendCeilings, ResourceBackend, make_backends
+from pilotq.backends import make_backends
 from pilotq.clock import Clock, WallClock
 from pilotq.errors import DuplicatePilotName, IllegalTransition, UnknownPilot
 from pilotq.events import EventLog
@@ -88,8 +90,6 @@ class PilotManager:
         *,
         clock: Clock | None = None,
         log: EventLog | None = None,
-        backends: dict[BackendKind, ResourceBackend] | None = None,
-        ceilings: dict[BackendKind, BackendCeilings] | None = None,
         functions: dict | None = None,
         auto_schedule: bool = True,
         memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
@@ -97,12 +97,10 @@ class PilotManager:
         self._clock = clock or WallClock()
         self._log = log or EventLog(clock=self._clock)
         self._memory_cap = memory_cap_bytes
-        self._backends = backends or make_backends(
-            ceilings, clock=self._clock, memory_cap_bytes=memory_cap_bytes
-        )
+        self._backends = make_backends(clock=self._clock, memory_cap_bytes=memory_cap_bytes)
         self._functions = dict(functions or {})
         self._auto = auto_schedule
-        self._store = TaskStore(self._clock)
+        self._store = TaskStore(self._clock, self._log)
         self._lock = threading.RLock()
         self._pilots: dict[str, PilotAgent] = {}
         self._configured: dict[str, _PilotShape] = {}
@@ -203,7 +201,6 @@ class PilotManager:
             rec = new_record(desc, self._clock.now())
             self._store.add(rec)  # raises DuplicateTaskId
             self._pending.append(desc.task_id)
-            self._log.emit("task", desc.task_id, "task_submitted", kind=desc.kind.value)
             if self._auto:
                 self._schedule_pass()
         return desc.task_id
@@ -228,14 +225,13 @@ class PilotManager:
                     if agent.cancel_queued(task_id):
                         break
                 try:
-                    final = self._store.advance(task_id, "cancel")
+                    final = self._store.advance(task_id, "cancel", reason="user request")
                 except IllegalTransition:
                     return CancelOutcome(self._store.get(task_id), False)
                 try:
                     self._pending.remove(task_id)
                 except ValueError:
                     pass
-                self._log.emit("task", task_id, "task_canceled", reason="user request")
                 return CancelOutcome(final, True)
             return CancelOutcome(rec, False)
 
@@ -307,7 +303,6 @@ class PilotManager:
                     f"cores={task.requires_cores} gpus={task.requires_gpus} "
                     f"qubits={task.requires_qubits} target={task.target}",
                 )
-                self._log.emit("task", tid, "task_failed", error="NoFeasiblePilot")
             else:
                 still.append(tid)
         self._pending = still
@@ -364,3 +359,7 @@ class PilotManager:
                 self.remove_pilot(name, drain=drain)
             except UnknownPilot:
                 pass
+        # no pilot is left to run what is pending, e.g. a retry handed back mid-shutdown
+        with self._lock:
+            for tid in list(self._pending):
+                self.cancel(tid)

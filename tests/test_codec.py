@@ -84,7 +84,7 @@ RECORDS = [
         expires_at_s=3601.0,
     ),
     QpuExecutionReport(counts={"00": 7, "11": 9}, queue_wait_s=0.5, exec_s=3.0),
-    AgentMetrics(tasks_done=3, tasks_failed=1, busy_cores=2, queue_depth=4, total_exec_s=1.5),
+    AgentMetrics(tasks_done=3, tasks_failed=1, busy_cores=2, queue_depth=4),
     _PLAN.cuts[0],
     _PLAN.fragments[1],
     _PLAN,

@@ -1,10 +1,12 @@
-"""Dead-code scans over the pilotq sources.
+"""Dead-code and single-writer scans over the pilotq sources.
 
 Every name a pilotq module imports is used in that module, and every private
 (`_`-prefixed) module-level function, class or constant is referenced
-somewhere in the package. No linter ships with the project, so these walk
-each module's AST instead. The import scan skips package `__init__`
-modules: their imports are re-exports.
+somewhere in the package. The task store is the only module that writes
+task-lifecycle events: outside `store.py`, every `.emit(...)` names its
+event with a string literal, and never a lifecycle one. No linter ships
+with the project, so these walk each module's AST instead. The import scan
+skips package `__init__` modules: their imports are re-exports.
 """
 
 import ast
@@ -145,3 +147,53 @@ def test_every_exported_name_resolves_once():
         exported = package.__all__
         assert len(exported) == len(set(exported)), package.__name__
         assert [name for name in exported if not hasattr(package, name)] == [], package.__name__
+
+
+LIFECYCLE_EVENTS = frozenset(
+    {"task_submitted", "task_started", "task_done", "task_retry", "task_failed", "task_canceled"}
+)
+
+
+def _emitted_event(call: ast.Call) -> ast.expr | None:
+    """The event argument of `log.emit(entity, entity_id, event, ...)`."""
+    if len(call.args) >= 3:
+        return call.args[2]
+    return next((kw.value for kw in call.keywords if kw.arg == "event"), None)
+
+
+def lifecycle_emits(source: str) -> list[int]:
+    """Lines of `.emit` calls whose event is a lifecycle name or not a literal."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "emit"
+        and not (
+            isinstance(event := _emitted_event(node), ast.Constant)
+            and isinstance(event.value, str)
+            and event.value not in LIFECYCLE_EVENTS
+        )
+    )
+
+
+def test_only_the_store_emits_task_lifecycle_events():
+    found = {
+        str(path.relative_to(PACKAGE)): lines
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path != PACKAGE / "store.py"
+        and (lines := lifecycle_emits(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_the_emit_scan_flags_lifecycle_and_computed_events():
+    source = (
+        'log.emit("pilot", name, "agent_ready", cores=2)\n'
+        'log.emit("task", tid, "task_assigned", pilot=name)\n'
+        'log.emit("task", tid, "task_done", pilot=name)\n'
+        'log.emit("task", tid, event=name)\n'
+        'log.emit("task", tid, event="task_retry")\n'
+        'log.emit_later("task", tid, "task_failed")\n'
+    )
+    assert lifecycle_emits(source) == [3, 4, 5]

@@ -20,7 +20,7 @@ from pilotq.errors import (
     UnknownPilot,
     UnknownTaskId,
 )
-from pilotq.events import replay_task_states
+from pilotq.events import EventLog, replay_task_states
 from pilotq.manager import PilotManager, sim_qubit_capacity
 from pilotq.model import (
     BackendKind,
@@ -473,3 +473,62 @@ def test_cancel_shutdown_cancels_every_queue(manager):
     states = {tid: rec.state for tid, rec in manager.store.snapshot().items()}
     assert sorted(s.value for s in states.values()) == ["CANCELED"] * 9 + ["DONE"] * 3
     assert replay_task_states(manager.log.records) == states
+
+
+def test_shutdown_cancels_a_retry_that_no_pilot_is_left_to_run(manager):
+    # the only pilot is already removed when the first attempt fails, so the
+    # retry comes back pending with nothing to run it
+    started, release = threading.Semaphore(0), threading.Event()
+
+    def fail_after_release():
+        started.release()
+        release.wait()
+        raise RuntimeError("first attempt dies")
+
+    manager.register_function("fail", fail_after_release)
+    manager.create_pilot(local_desc("p", cores=1))
+    tid = manager.submit_task(
+        TaskDescription(
+            task_id="r",
+            kind=TaskKind.CLASSICAL_FN,
+            payload=ClassicalPayload(function="fail"),
+            max_retries=1,
+        )
+    )
+    stopper = threading.Thread(target=manager.shutdown, kwargs={"drain": True})
+    try:
+        assert started.acquire(timeout=5.0)
+        stopper.start()
+        deadline = time.monotonic() + 5.0
+        while manager.pilot_names() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert manager.pilot_names() == []
+    finally:
+        release.set()
+    stopper.join(timeout=5.0)
+    assert not stopper.is_alive()
+    assert manager.wait([tid], timeout=1.0).complete
+    states = {t: rec.state for t, rec in manager.store.snapshot().items()}
+    assert states == {tid: TaskState.CANCELED}
+    assert replay_task_states(manager.log.records) == states
+
+
+class _SlowDoneLog(EventLog):
+    """Takes 0.2 s to write task_done, so a late write shows as a gap."""
+
+    def emit(self, entity, entity_id, event, **attrs):
+        if event == "task_done":
+            time.sleep(0.2)
+        return super().emit(entity, entity_id, event, **attrs)
+
+
+def test_the_log_never_lags_the_store():
+    log = _SlowDoneLog()
+    manager = PilotManager(log=log)
+    try:
+        manager.create_pilot(local_desc("p", cores=1))
+        tid = manager.submit_task(zero_task(0))
+        assert manager.wait([tid], timeout=5.0).complete
+        assert replay_task_states(log.records)[tid] is TaskState.DONE
+    finally:
+        manager.shutdown()

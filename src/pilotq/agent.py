@@ -282,7 +282,10 @@ class PilotAgent:
         self._notify(final)
 
     def _finish_fail(self, tid: str, error: str) -> None:
-        final = self._store.advance(tid, "fail", error=error[:500])
+        # a cancel may land between schedule and a fail-fast check
+        final = self._store.try_advance(tid, "fail", error=error[:500])
+        if final is None:
+            return
         with self._cond:
             self._tasks_failed += 1
         self._notify(final)
@@ -295,7 +298,7 @@ class PilotAgent:
         if desc.kind is TaskKind.ZERO_COMPUTE:
             return TaskResult()
 
-        latency = self.description.queue_model.per_task_latency_s
+        latency = self.allocation.queue_model.per_task_latency_s
 
         if desc.kind is TaskKind.CLASSICAL_FN:
             payload: ClassicalPayload = desc.payload
@@ -309,11 +312,8 @@ class PilotAgent:
         if self.allocation.backend_kind is BackendKind.QPU_SIM:
             if self._backend is None:
                 raise ValidationError("qpu_sim agent has no backend to execute on")
-            report = self._backend.qpu_execute(
+            return self._backend.qpu_execute(
                 qp.circuit, qp.shots, self.allocation, rng_seed=task_seed(tid)
-            )
-            return TaskResult(
-                counts=report.counts, queue_wait_s=report.queue_wait_s, exec_s=report.exec_s
             )
 
         # classical pilot: simulate in-agent

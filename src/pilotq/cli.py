@@ -178,10 +178,11 @@ def cut_command(
 ):
     """Cut a clustered circuit and reconstruct the observable."""
     cfg = _load_config(config_path)
+    max_width = _cfg(cfg, "max_width", max_width, None)
     metrics = cmd_cut(
         cluster_sizes=parse_int_list(_cfg(cfg, "sizes", sizes, "6,6")),
         reps=int(_cfg(cfg, "reps", reps, 1)),
-        max_width=_cfg(cfg, "max_width", max_width, None),
+        max_width=None if max_width is None else int(max_width),
         shots=int(_cfg(cfg, "shots", shots, 0)),
         workers_list=parse_int_list(_cfg(cfg, "workers", workers, "1,4")),
         task_latency_s=float(_cfg(cfg, "task_latency", task_latency, 0.1)),

@@ -26,10 +26,6 @@ class IllegalTransition(PilotQError):
 
 # --- resource backends ------------------------------------------------------
 
-class CapacityError(PilotQError):
-    """A backend-wide capacity ceiling would be exceeded."""
-
-
 class DoubleRelease(PilotQError):
     """An allocation was released twice."""
 

@@ -13,11 +13,13 @@ for deterministic batch placement in tests. Completions run no pass: a task
 stays pending only while no live pilot fits it, and only `create_pilot`
 adds a live pilot.
 
-Feasibility is decided against total capacity: requires_cores and
-requires_gpus against the allocation totals, affinity against the pilot
+Placement reads each pilot's granted `PilotAllocation`, the one record of
+its shape. Feasibility is decided against total capacity: requires_cores
+and requires_gpus against the allocation totals, affinity against the pilot
 name, and requires_qubits against the pilot's qubit capacity. A qpu_sim
 pilot's capacity is its qpu_qubits; classical pilots simulate circuits
-in-agent, so their capacity is whatever the memory cap admits.
+in-agent, so their capacity is whatever the memory cap admits, computed
+once per manager.
 
 "Configured" pilots are every pilot ever created, including removed ones:
 a task that fits a temporarily removed pilot waits instead of failing,
@@ -33,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from pilotq.agent import AgentMetrics, PilotAgent
-from pilotq.backends import make_backends
+from pilotq.backends import PilotAllocation, make_backends
 from pilotq.clock import Clock, WallClock
 from pilotq.errors import DuplicatePilotName, IllegalTransition, UnknownPilot
 from pilotq.events import EventLog
@@ -72,18 +74,6 @@ class CancelOutcome:
     canceled: bool
 
 
-@dataclass(frozen=True)
-class _PilotShape:
-    """Capacity view used for feasibility, built once per created pilot and
-    kept after the pilot is removed."""
-
-    name: str
-    backend_kind: BackendKind
-    total_cores: int
-    total_gpus: int
-    qubit_capacity: int
-
-
 class PilotManager:
     def __init__(
         self,
@@ -97,13 +87,14 @@ class PilotManager:
         self._clock = clock or WallClock()
         self._log = log or EventLog(clock=self._clock)
         self._memory_cap = memory_cap_bytes
+        self._sim_qubits = sim_qubit_capacity(memory_cap_bytes)
         self._backends = make_backends(clock=self._clock, memory_cap_bytes=memory_cap_bytes)
         self._functions = dict(functions or {})
         self._auto = auto_schedule
         self._store = TaskStore(self._clock, self._log)
         self._lock = threading.RLock()
         self._pilots: dict[str, PilotAgent] = {}
-        self._configured: dict[str, _PilotShape] = {}
+        self._configured: dict[str, PilotAllocation] = {}
         self._pending: deque[str] = deque()
         self._started_at = self._clock.now()
 
@@ -128,7 +119,7 @@ class PilotManager:
             if desc.name in self._pilots:
                 raise DuplicatePilotName(desc.name)
             backend = self._backends[desc.backend_kind]
-            alloc = backend.provision(desc, self._clock)
+            alloc = backend.provision(desc)
             agent = PilotAgent(
                 alloc,
                 desc,
@@ -142,13 +133,7 @@ class PilotManager:
                 memory_cap_bytes=self._memory_cap,
             ).start()
             self._pilots[desc.name] = agent
-            if desc.backend_kind is BackendKind.QPU_SIM:
-                qubits = desc.qpu_qubits
-            else:
-                qubits = sim_qubit_capacity(self._memory_cap)
-            self._configured[desc.name] = _PilotShape(
-                desc.name, desc.backend_kind, desc.total_cores, desc.total_gpus, qubits
-            )
+            self._configured[desc.name] = alloc
             self._log.emit(
                 "pilot", desc.name, "pilot_created",
                 backend=desc.backend_kind.value,
@@ -240,21 +225,21 @@ class PilotManager:
 
     # --- scheduling core --------------------------------------------------------------
 
-    @staticmethod
-    def _fits(task: TaskDescription, shape: _PilotShape) -> bool:
-        if task.target is not None and task.target != shape.name:
+    def _fits(self, task: TaskDescription, alloc: PilotAllocation) -> bool:
+        if task.target is not None and task.target != alloc.pilot_name:
             return False
-        if task.requires_cores > shape.total_cores:
+        if task.requires_cores > alloc.total_cores:
             return False
-        if task.requires_gpus > shape.total_gpus:
+        if task.requires_gpus > alloc.total_gpus:
             return False
-        if task.requires_qubits > 0 and task.requires_qubits > shape.qubit_capacity:
+        qpu = alloc.backend_kind is BackendKind.QPU_SIM
+        if task.requires_qubits > (alloc.qpu_qubits if qpu else self._sim_qubits):
             return False
         if (
-            task.kind is TaskKind.QUANTUM_CIRCUIT
+            qpu
+            and task.kind is TaskKind.QUANTUM_CIRCUIT
             and task.payload is not None
             and task.payload.shots == 0
-            and shape.backend_kind is BackendKind.QPU_SIM
         ):
             # QPUs sample; exact expectations and probability vectors need a
             # classical pilot.
@@ -295,7 +280,7 @@ class PilotManager:
                 self._pilots[name].assign(rec)
                 assignments.append((tid, name))
             elif self._configured and not any(
-                self._fits(task, shape) for shape in self._configured.values()
+                self._fits(task, alloc) for alloc in self._configured.values()
             ):
                 self._store.advance(
                     tid, "fail",
@@ -327,7 +312,7 @@ class PilotManager:
                 pilots.append(
                     {
                         "name": name,
-                        "backend_kind": agent.description.backend_kind.value,
+                        "backend_kind": agent.allocation.backend_kind.value,
                         "total_cores": agent.allocation.total_cores,
                         "queue_depth": m.queue_depth,
                         "busy_cores": m.busy_cores,

@@ -22,6 +22,7 @@ from pilotq.model import (
     new_record,
 )
 from pilotq.qsim.circuit import Circuit, Gate, PauliObservable, random_circuit
+from pilotq.store import TaskStore
 
 
 def make_agent(desc=None, workers=None, functions=None, backend=None, on_terminal=None):
@@ -364,11 +365,42 @@ def test_startup_delay_gates_readiness():
     clock = SimulatedClock(start=0.0)
     be = ResourceBackend(BackendKind.BATCH_SIM, clock=clock)
     batch = PilotDescription(name="b", backend_kind=BackendKind.BATCH_SIM, cores_per_node=2)
-    alloc = be.provision(batch, clock)
+    alloc = be.provision(batch)
     agent = PilotAgent(alloc, batch, clock=clock, log=EventLog(clock=clock), backend=be).start()
     try:
         assert alloc.granted_at_s == 37.0
         assert agent.wait_ready(timeout=2.0)  # the simulated clock jumps the 37 s
         assert clock.now() >= 37.0
+    finally:
+        agent.shutdown()
+
+
+class _CancelAfterSchedule(TaskStore):
+    """Cancels one task right after a worker schedules it."""
+
+    def __init__(self, victim):
+        super().__init__()
+        self.victim = victim
+
+    def try_advance(self, task_id, event, **kwargs):
+        rec = super().try_advance(task_id, event, **kwargs)
+        if task_id == self.victim and event == "schedule":
+            self.advance(task_id, "cancel", reason="user request")
+        return rec
+
+
+def test_a_cancel_before_a_fail_fast_check_keeps_the_worker():
+    be = ResourceBackend(BackendKind.LOCAL)
+    desc = local_desc("p", cores=2)
+    agent = start_agent(be.provision(desc), desc, 1, store=_CancelAfterSchedule("wide"), backend=be)
+    try:
+        # wider than the one worker slot: the agent fails it fast after scheduling
+        submit(agent, TaskDescription(task_id="wide", kind=TaskKind.ZERO_COMPUTE, requires_cores=2))
+        assert agent.store.wait_terminal(["wide"], timeout=2.0)
+        assert agent.store.get("wide").state is TaskState.CANCELED
+        tid = submit(agent, zero_task(1))
+        assert agent.store.wait_terminal([tid], timeout=2.0)
+        assert agent.store.get(tid).state is TaskState.DONE
+        assert agent.metrics().tasks_failed == 0
     finally:
         agent.shutdown()

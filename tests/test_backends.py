@@ -1,21 +1,13 @@
-"""Resource-backend provisioning, ceilings, and the sampling QPU stand-in."""
+"""Resource-backend provisioning, release, and the sampling QPU stand-in."""
+
+from dataclasses import replace
 
 import pytest
 
 from helpers import local_desc, qpu_desc
-from pilotq.backends import (
-    BackendCeilings,
-    ResourceBackend,
-    make_backends,
-    startup_delay,
-)
+from pilotq.backends import ResourceBackend, make_backends, startup_delay
 from pilotq.clock import SimulatedClock
-from pilotq.errors import (
-    CapacityError,
-    DoubleRelease,
-    QubitCapacityExceeded,
-    ValidationError,
-)
+from pilotq.errors import DoubleRelease, QubitCapacityExceeded, ValidationError
 from pilotq.model import BackendKind, PilotDescription, QueueModel
 from pilotq.qsim.circuit import Circuit, Gate, random_circuit
 
@@ -51,26 +43,6 @@ def test_invalid_description_is_rejected_before_any_grant():
     with pytest.raises(ValidationError):
         be.provision(PilotDescription(name="", backend_kind=BackendKind.LOCAL))
     assert be.live_allocations() == []
-
-
-def test_ceilings_refuse_and_release_restores_headroom():
-    be = ResourceBackend(BackendKind.LOCAL, BackendCeilings(max_cores=6, max_pilots=2))
-    a = be.provision(local_desc("a", cores=4))
-    with pytest.raises(CapacityError):
-        be.provision(local_desc("b", cores=3))  # 4 + 3 > 6
-    b = be.provision(local_desc("b", cores=2))
-    with pytest.raises(CapacityError):
-        be.provision(local_desc("c", cores=1))  # pilot ceiling
-    be.release(a)
-    be.provision(local_desc("c", cores=4))
-    del b
-
-
-def test_gpu_ceiling():
-    be = ResourceBackend(BackendKind.LOCAL, BackendCeilings(max_gpus=2))
-    be.provision(local_desc("a", cores=1, gpus_per_node=2))
-    with pytest.raises(CapacityError):
-        be.provision(local_desc("b", cores=1, gpus_per_node=1))
 
 
 def test_local_pilots_start_immediately():
@@ -176,3 +148,28 @@ def test_qpu_execute_reports_latency_in_exec_time():
     report = be.qpu_execute(Circuit(2, (Gate("H", (0,)),)), 32, alloc, rng_seed=1)
     assert report.exec_s >= 0.05
     assert report.queue_wait_s == 0.0
+
+
+def test_qpu_queue_wait_is_the_seeded_startup_draw():
+    clock = SimulatedClock()
+    be = ResourceBackend(BackendKind.QPU_SIM, clock=clock)
+    desc = PilotDescription(
+        name="q",
+        backend_kind=BackendKind.QPU_SIM,
+        qpu_qubits=2,
+        queue_model=QueueModel(base_delay_s=0.5, jitter_s=2.0),
+    )
+    alloc = be.provision(desc)
+    circ = Circuit(2, (Gate("H", (0,)),))
+    waits = []
+    for seed in range(8):
+        before = clock.now()
+        report = be.qpu_execute(circ, 16, alloc, rng_seed=seed)
+        wait = report.queue_wait_s
+        assert clock.now() - before == pytest.approx(wait)  # spent on the clock
+        assert be.qpu_execute(circ, 16, alloc, rng_seed=seed).queue_wait_s == wait
+        assert 0.0 <= wait <= 2.5
+        assert wait == startup_delay(replace(desc, seed=seed))
+        waits.append(wait)
+    assert 0.0 in waits  # a draw below zero is clamped
+    assert len(set(waits)) > 2  # and the rest are jittered

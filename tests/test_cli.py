@@ -125,3 +125,12 @@ def test_gradients_no_fd_leaves_check_column_empty(tmp_path, monkeypatch):
 def test_empty_task_spec_is_a_validation_error(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli("throughput", "--tasks", "") == 1
+
+
+def test_cut_config_max_width_may_be_a_string(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"max_width": "3"}))
+    args = ("cut", "--sizes", "2,2", "--workers", "1", "--task-latency", "0")
+    assert run_cli(*args, "--config", "cfg.json", "--out", "cfg.csv") == 0
+    assert run_cli(*args, "--max-width", "3", "--out", "flag.csv") == 0
+    assert read_csv(tmp_path / "cfg.csv")[1]["num_cuts"] == read_csv(tmp_path / "flag.csv")[1]["num_cuts"]

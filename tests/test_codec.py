@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pilotq.agent import AgentMetrics
-from pilotq.backends import PilotAllocation, QpuExecutionReport
+from pilotq.backends import PilotAllocation
 from pilotq.bench.runners import RunMetrics
 from pilotq.bench.vqc import VqcConfig
 from pilotq.clock import SimulatedClock
@@ -82,8 +82,8 @@ RECORDS = [
         qpu_qubits=5,
         granted_at_s=1.0,
         expires_at_s=3601.0,
+        queue_model=QueueModel(base_delay_s=2.0, jitter_s=0.5),
     ),
-    QpuExecutionReport(counts={"00": 7, "11": 9}, queue_wait_s=0.5, exec_s=3.0),
     AgentMetrics(tasks_done=3, tasks_failed=1, busy_cores=2, queue_depth=4),
     _PLAN.cuts[0],
     _PLAN.fragments[1],

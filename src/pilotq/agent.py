@@ -35,7 +35,6 @@ from pilotq.events import EventLog
 from pilotq.model import (
     BackendKind,
     ClassicalPayload,
-    PilotDescription,
     QuantumPayload,
     TaskDescription,
     TaskKind,
@@ -63,7 +62,6 @@ class PilotAgent:
     def __init__(
         self,
         allocation: PilotAllocation,
-        description: PilotDescription,
         workers: int | None = None,
         *,
         clock: Clock | None = None,
@@ -83,7 +81,6 @@ class PilotAgent:
                 f"{workers} workers exceed the allocation's {allocation.total_cores} cores"
             )
         self.allocation = allocation
-        self.description = description
         self.name = allocation.pilot_name
         self._workers = workers
         self._clock = clock or WallClock()
@@ -326,9 +323,8 @@ class PilotAgent:
 
 def start_agent(
     allocation: PilotAllocation,
-    description: PilotDescription,
     workers: int | None = None,
     **kwargs,
 ) -> PilotAgent:
     """Construct and start a PilotAgent; raises WorkerOversubscription."""
-    return PilotAgent(allocation, description, workers, **kwargs).start()
+    return PilotAgent(allocation, workers, **kwargs).start()

@@ -4,8 +4,14 @@ Model: one RY(x_q) angle-encoding gate per qubit, a strongly-entangling
 trainable ansatz, class scores from (<Z_0>, <Z_1>) through a scaled
 softmax, cross-entropy loss. The loss gradient for one sample collapses
 into a single adjoint pass with the weighted observable
-sum_i scale * (p_i - [i == y]) * Z_i, so each sample costs one forward
-simulation plus one gradient sweep.
+sum_i scale * (p_i - [i == y]) * Z_i.
+
+A mini-batch runs as one (B, 2**n) row stack, row b for sample b. The
+encoding is a product state, so each row is built directly; the shared
+ansatz gates are applied once to the whole stack; both Z readouts are
+diagonal, so each row's bra is its ket times that row's weighted sign
+vector; and one adjoint sweep over the stack sums the per-sample
+gradients. A batch costs one forward pass and one sweep whatever its size.
 
 Training distributes mini-batch gradient tasks through a pilot manager
 (or runs them in-process when no manager is given) and applies full-batch
@@ -24,9 +30,9 @@ import numpy as np
 from pilotq.codec import JsonRecord
 from pilotq.errors import PilotQError, ValidationError
 from pilotq.model import ClassicalPayload, TaskDescription, TaskKind, TaskState
-from pilotq.qsim.circuit import Circuit, Gate, PauliObservable, sel_circuit
-from pilotq.qsim.gradients import adjoint_gradient
-from pilotq.qsim.simulate import expectation, run_circuit
+from pilotq.qsim.circuit import Circuit, Gate, sel_circuit
+from pilotq.qsim.gradients import _adjoint_sweep
+from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES, check_memory_cap, _apply_gate_inplace
 
 BATCH_GRADIENT_FN = "vqc_batch_gradient"
 
@@ -82,10 +88,6 @@ def classifier_circuit(features, params, n_qubits: int, layers: int) -> Circuit:
     return Circuit(n_qubits, encoding + ansatz.gates)
 
 
-def _readout(n_qubits: int, qubit: int) -> PauliObservable:
-    return PauliObservable.single(n_qubits, {qubit: "Z"})
-
-
 def batch_gradient(
     params, features, labels, n_qubits: int, layers: int, scale: float
 ) -> dict:
@@ -94,29 +96,41 @@ def batch_gradient(
     Registered with agents under BATCH_GRADIENT_FN; arguments and the
     result are plain lists/floats so the payload stays serialisable.
     """
-    p = np.asarray(params, dtype=float)
-    grad = np.zeros_like(p)
-    loss_sum = 0.0
-    correct = 0
-    z_obs = (_readout(n_qubits, 0), _readout(n_qubits, 1))
-    for x, y in zip(features, labels):
-        y = int(y)
-        circ = classifier_circuit(x, p, n_qubits, layers)
-        state = run_circuit(circ)
-        logits = scale * np.array([expectation(state, o) for o in z_obs])
-        shifted = logits - logits.max()
-        exp = np.exp(shifted)
-        probs = exp / exp.sum()
-        loss_sum += -math.log(max(float(probs[y]), 1e-300))
-        correct += int(np.argmax(probs) == y)
-        weights = scale * (probs - np.eye(2)[y])
-        combined = PauliObservable(
-            terms=(
-                (float(weights[0]), z_obs[0].terms[0][1]),
-                (float(weights[1]), z_obs[1].terms[0][1]),
-            )
-        )
-        grad += adjoint_gradient(circ, combined)
+    if any(len(x) != n_qubits for x in features):
+        raise ValidationError("one feature per qubit required")
+    if len(labels) != len(features):
+        raise ValidationError(f"{len(features)} feature rows but {len(labels)} labels")
+    ansatz = sel_circuit(n_qubits, layers, params)
+    rows = len(features)
+    # ket, bra and one scratch copy per row are live during the sweep.
+    check_memory_cap(n_qubits, DEFAULT_MEMORY_CAP_BYTES, states=3 * rows)
+
+    # RY(x)|0> = [cos(x/2), sin(x/2)]; qubit q is bit q of the flat index.
+    half = np.asarray(features, dtype=float).reshape(rows, n_qubits) / 2.0
+    ket = np.ones((rows, 1), dtype=complex)
+    for q in range(n_qubits):
+        factor = np.stack([np.cos(half[:, q]), np.sin(half[:, q])], axis=1)
+        ket = (factor[:, :, None] * ket[:, None, :]).reshape(rows, 2 << q)
+    for gate in ansatz.gates:
+        _apply_gate_inplace(ket, gate)
+
+    amps2 = ket.real**2 + ket.imag**2
+    norms = np.sqrt(amps2.sum(axis=1))
+    if np.any(np.abs(norms - 1.0) > 1e-9):
+        raise RuntimeError(f"state norm drifted to {norms[np.argmax(np.abs(norms - 1.0))]}")
+    # signs[i, k] is the eigenvalue of Z_i on basis state k, for i in {0, 1}.
+    signs = 1.0 - 2.0 * ((np.arange(2**n_qubits) >> np.arange(2)[:, None]) & 1)
+    logits = scale * (amps2[:, None, :] * signs).sum(axis=2)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    y = np.asarray(labels, dtype=int)
+    loss_sum = -np.log(np.maximum(probs[np.arange(rows), y], 1e-300)).sum()
+    correct = (np.argmax(probs, axis=1) == y).sum()
+
+    weights = scale * (probs - np.eye(2)[y])
+    bra = ket * (weights[:, :, None] * signs).sum(axis=1)
+    grad = _adjoint_sweep(ansatz.gates, ket, bra, ansatz.num_params)
     return {"grad": grad.tolist(), "loss_sum": float(loss_sum), "correct": int(correct)}
 
 

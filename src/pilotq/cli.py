@@ -31,24 +31,24 @@ def parse_int_list(spec) -> list[int]:
     """Accept 7, "7", "1,4,8", or inclusive ranges "2:16" / "2:16:2"."""
     if isinstance(spec, int):
         return [spec]
-    if isinstance(spec, (list, tuple)):
-        return [int(x) for x in spec]
-    text = str(spec).strip()
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        if len(parts) == 2:
-            start, stop, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            start, stop, step = parts
-        else:
-            raise ValidationError(f"bad range: {text!r} (use start:stop[:step])")
-        if step < 1 or stop < start:
-            raise ValidationError(f"bad range: {text!r}")
-        return list(range(start, stop + 1, step))
     try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError as exc:
-        raise ValidationError(f"bad integer list: {text!r}") from exc
+        if isinstance(spec, (list, tuple)):
+            return [int(x) for x in spec]
+        text = str(spec).strip()
+        if ":" not in text:
+            return [int(p) for p in text.split(",") if p.strip() != ""]
+        parts = [int(p) for p in text.split(":")]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad integer list: {spec!r}") from exc
+    if len(parts) == 2:
+        start, stop, step = parts[0], parts[1], 1
+    elif len(parts) == 3:
+        start, stop, step = parts
+    else:
+        raise ValidationError(f"bad range: {text!r} (use start:stop[:step])")
+    if step < 1 or stop < start:
+        raise ValidationError(f"bad range: {text!r}")
+    return list(range(start, stop + 1, step))
 
 
 def _load_config(path) -> dict:
@@ -64,12 +64,24 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _cfg(config: dict, key: str, flag, default):
+def _cfg(config: dict, key: str, flag, default, convert=None):
+    """Flag, else the config value (null counts as unset), else default.
+
+    A value other than None goes through `convert`; a config value that
+    `convert` rejects is a ValidationError, not a traceback.
+    """
     if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+        value = flag
+    elif config.get(key) is not None:
+        value = config[key]
+    else:
+        value = default
+    if convert is None or value is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"config key {key!r}: {exc}") from exc
 
 
 def common_options(fn):
@@ -98,11 +110,11 @@ def throughput_command(out, log_path, config_path, seed, tasks, pilots, workers)
     cfg = _load_config(config_path)
     metrics = cmd_throughput(
         tasks_list=parse_int_list(_cfg(cfg, "tasks", tasks, "256,1024,8192")),
-        pilots=int(_cfg(cfg, "pilots", pilots, 1)),
-        workers=int(_cfg(cfg, "workers", workers, 8)),
+        pilots=_cfg(cfg, "pilots", pilots, 1, int),
+        workers=_cfg(cfg, "workers", workers, 8, int),
         out_path=_cfg(cfg, "out", out, "throughput.csv"),
         log_path=_cfg(cfg, "log", log_path, None),
-        seed=int(_cfg(cfg, "seed", seed, 0)),
+        seed=_cfg(cfg, "seed", seed, 0, int),
     )
     click.echo(
         f"throughput: {metrics.tasks_done}/{metrics.tasks_total} tasks done, "
@@ -129,15 +141,15 @@ def circuits_command(
         backends_val = [b.strip() for b in backends_val.split(",") if b.strip()]
     metrics = cmd_circuits(
         qubits_list=parse_int_list(_cfg(cfg, "qubits", qubits, "2:16:2")),
-        count=int(_cfg(cfg, "count", count, 16)),
+        count=_cfg(cfg, "count", count, 16, int),
         backends=tuple(backends_val),
-        depth=int(_cfg(cfg, "depth", depth, 10)),
-        shots=int(_cfg(cfg, "shots", shots, 256)),
-        qpu_latency_s=float(_cfg(cfg, "qpu_latency", qpu_latency, 0.2)),
-        workers=int(_cfg(cfg, "workers", workers, 4)),
+        depth=_cfg(cfg, "depth", depth, 10, int),
+        shots=_cfg(cfg, "shots", shots, 256, int),
+        qpu_latency_s=_cfg(cfg, "qpu_latency", qpu_latency, 0.2, float),
+        workers=_cfg(cfg, "workers", workers, 4, int),
         out_path=_cfg(cfg, "out", out, "circuits.csv"),
         log_path=_cfg(cfg, "log", log_path, None),
-        seed=int(_cfg(cfg, "seed", seed, 0)),
+        seed=_cfg(cfg, "seed", seed, 0, int),
     )
     click.echo(
         f"circuits: {metrics.tasks_done} done, {metrics.tasks_failed} failed "
@@ -157,9 +169,9 @@ def gradients_command(out, log_path, config_path, seed, qubits, layers, fd_check
     cfg = _load_config(config_path)
     metrics = cmd_gradients(
         qubits_list=parse_int_list(_cfg(cfg, "qubits", qubits, "2:8")),
-        layers=int(_cfg(cfg, "layers", layers, 2)),
+        layers=_cfg(cfg, "layers", layers, 2, int),
         out_path=_cfg(cfg, "out", out, "gradients.csv"),
-        seed=int(_cfg(cfg, "seed", seed, 0)),
+        seed=_cfg(cfg, "seed", seed, 0, int),
         fd_check=bool(_cfg(cfg, "fd", fd_check, True)),
     )
     click.echo(f"gradients: wrote rows for qubits {metrics.params['qubits']}")
@@ -178,17 +190,16 @@ def cut_command(
 ):
     """Cut a clustered circuit and reconstruct the observable."""
     cfg = _load_config(config_path)
-    max_width = _cfg(cfg, "max_width", max_width, None)
     metrics = cmd_cut(
         cluster_sizes=parse_int_list(_cfg(cfg, "sizes", sizes, "6,6")),
-        reps=int(_cfg(cfg, "reps", reps, 1)),
-        max_width=None if max_width is None else int(max_width),
-        shots=int(_cfg(cfg, "shots", shots, 0)),
+        reps=_cfg(cfg, "reps", reps, 1, int),
+        max_width=_cfg(cfg, "max_width", max_width, None, int),
+        shots=_cfg(cfg, "shots", shots, 0, int),
         workers_list=parse_int_list(_cfg(cfg, "workers", workers, "1,4")),
-        task_latency_s=float(_cfg(cfg, "task_latency", task_latency, 0.1)),
+        task_latency_s=_cfg(cfg, "task_latency", task_latency, 0.1, float),
         out_path=_cfg(cfg, "out", out, "cut.csv"),
         log_path=_cfg(cfg, "log", log_path, None),
-        seed=int(_cfg(cfg, "seed", seed, 0)),
+        seed=_cfg(cfg, "seed", seed, 0, int),
     )
     click.echo(f"cut: config [{metrics.params['config']}], "
                f"{metrics.tasks_done} subexperiments executed")
@@ -211,18 +222,18 @@ def vqc_command(
     """Train the variational classifier on synthetic blobs."""
     cfg = _load_config(config_path)
     config = VqcConfig(
-        n_qubits=int(_cfg(cfg, "qubits", qubits, 4)),
-        layers=int(_cfg(cfg, "layers", layers, 2)),
-        samples=int(_cfg(cfg, "samples", samples, 200)),
-        seed=int(_cfg(cfg, "seed", seed, 7)),
-        epochs=int(_cfg(cfg, "epochs", epochs, 50)),
-        batch_size=int(_cfg(cfg, "batch_size", batch_size, 25)),
-        learning_rate=float(_cfg(cfg, "lr", lr, 0.1)),
+        n_qubits=_cfg(cfg, "qubits", qubits, 4, int),
+        layers=_cfg(cfg, "layers", layers, 2, int),
+        samples=_cfg(cfg, "samples", samples, 200, int),
+        seed=_cfg(cfg, "seed", seed, 7, int),
+        epochs=_cfg(cfg, "epochs", epochs, 50, int),
+        batch_size=_cfg(cfg, "batch_size", batch_size, 25, int),
+        learning_rate=_cfg(cfg, "lr", lr, 0.1, float),
         optimizer=_cfg(cfg, "optimizer", optimizer, "gd"),
     )
     metrics = cmd_vqc(
         config,
-        workers=int(_cfg(cfg, "workers", workers, 4)),
+        workers=_cfg(cfg, "workers", workers, 4, int),
         out_path=_cfg(cfg, "out", out, "vqc.csv"),
         log_path=_cfg(cfg, "log", log_path, None),
     )

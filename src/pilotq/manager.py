@@ -122,7 +122,6 @@ class PilotManager:
             alloc = backend.provision(desc)
             agent = PilotAgent(
                 alloc,
-                desc,
                 workers,
                 clock=self._clock,
                 log=self._log,

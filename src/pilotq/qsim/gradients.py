@@ -6,6 +6,11 @@ ceiling sits about a factor 3 below plain expectation evaluation. For a
 rotation U(t) = exp(-i t G / 2) the derivative is dU/dt = (-i/2) G U, so at
 each trainable gate the contribution is 2 Re <bra| (-i/2) G |ket> with the
 bra/ket maintained by un-applying gates right to left.
+
+The sweep also runs on a contiguous (B, 2**n) row stack: row b holds the
+ket or bra of sample b, the in-place kernels fold the rows into their outer
+axis, and each inner product sums over the rows. One sweep then gives the
+gradient of the summed per-row expectations.
 """
 
 from __future__ import annotations
@@ -16,12 +21,12 @@ from pilotq.errors import ValidationError
 from pilotq.qsim.circuit import Circuit, PauliObservable
 from pilotq.qsim.simulate import (
     DEFAULT_MEMORY_CAP_BYTES,
-    apply_1q,
     apply_observable,
     check_memory_cap,
     inner,
     run_circuit,
-    _FIXED_1Q,
+    _FIXED_ROWS,
+    _apply_1q_inplace,
     _apply_gate_inplace,
 )
 
@@ -42,16 +47,23 @@ def adjoint_gradient(
 
     ket = run_circuit(circuit, memory_cap_bytes=memory_cap_bytes)
     bra = apply_observable(ket, observable, n)
-    grads = np.zeros(circuit.num_params)
+    return _adjoint_sweep(circuit.gates, ket, bra, circuit.num_params)
 
-    for gate in reversed(circuit.gates):
+
+def _adjoint_sweep(gates, ket: np.ndarray, bra: np.ndarray, num_params: int) -> np.ndarray:
+    """Un-apply `gates` right to left from the final ket and bra = O|ket>.
+
+    ket and bra are the caller's own arrays, one state or a (B, 2**n) row
+    stack each, and are overwritten. Returns the gradient by param_index.
+    """
+    grads = np.zeros(num_params)
+    for gate in reversed(gates):
         if gate.param_index is not None:
             # ket currently includes this gate, so G @ ket is G U |prefix>.
-            # apply_1q copies: ket itself is still needed for the sweep.
-            d_ket = apply_1q(ket, _FIXED_1Q[_GENERATOR[gate.name]], gate.qubits[0], n)
+            # The generator goes on a copy: ket itself is still needed for the sweep.
+            d_ket = ket.copy()
+            _apply_1q_inplace(d_ket, _FIXED_ROWS[_GENERATOR[gate.name]], gate.qubits[0])
             grads[gate.param_index] += 2.0 * (inner(bra, d_ket) * (-0.5j)).real
-        # ket and bra are this function's own arrays, so they are un-applied in place.
         _apply_gate_inplace(ket, gate, adjoint=True)
         _apply_gate_inplace(bra, gate, adjoint=True)
-
     return grads

@@ -31,7 +31,6 @@ def make_agent(desc=None, workers=None, functions=None, backend=None, on_termina
     alloc = backend.provision(desc)
     return start_agent(
         alloc,
-        desc,
         workers,
         functions=functions or {},
         backend=backend,
@@ -358,7 +357,7 @@ def test_worker_count_cannot_exceed_allocation_cores():
     desc = local_desc("p", cores=2)
     alloc = be.provision(desc)
     with pytest.raises(WorkerOversubscription):
-        PilotAgent(alloc, desc, workers=3, backend=be)
+        PilotAgent(alloc, workers=3, backend=be)
 
 
 def test_startup_delay_gates_readiness():
@@ -366,7 +365,7 @@ def test_startup_delay_gates_readiness():
     be = ResourceBackend(BackendKind.BATCH_SIM, clock=clock)
     batch = PilotDescription(name="b", backend_kind=BackendKind.BATCH_SIM, cores_per_node=2)
     alloc = be.provision(batch)
-    agent = PilotAgent(alloc, batch, clock=clock, log=EventLog(clock=clock), backend=be).start()
+    agent = PilotAgent(alloc, clock=clock, log=EventLog(clock=clock), backend=be).start()
     try:
         assert alloc.granted_at_s == 37.0
         assert agent.wait_ready(timeout=2.0)  # the simulated clock jumps the 37 s
@@ -392,7 +391,7 @@ class _CancelAfterSchedule(TaskStore):
 def test_a_cancel_before_a_fail_fast_check_keeps_the_worker():
     be = ResourceBackend(BackendKind.LOCAL)
     desc = local_desc("p", cores=2)
-    agent = start_agent(be.provision(desc), desc, 1, store=_CancelAfterSchedule("wide"), backend=be)
+    agent = start_agent(be.provision(desc), 1, store=_CancelAfterSchedule("wide"), backend=be)
     try:
         # wider than the one worker slot: the agent fails it fast after scheduling
         submit(agent, TaskDescription(task_id="wide", kind=TaskKind.ZERO_COMPUTE, requires_cores=2))

@@ -26,6 +26,7 @@ from pilotq.bench.vqc import (
     VqcConfig,
     _batch_slices,
     batch_gradient,
+    classifier_circuit,
     evaluate,
     make_blobs,
     train_vqc,
@@ -33,6 +34,8 @@ from pilotq.bench.vqc import (
 from pilotq.errors import NoActiveSession, ValidationError, WidthExceeded
 from pilotq.events import read_events, replay_tallies
 from pilotq.manager import PilotManager
+from pilotq.qsim import PauliObservable, adjoint_gradient, expectation, run_circuit
+from pilotq.qsim import simulate
 
 
 # --- RunMetrics -----------------------------------------------------------------------
@@ -367,6 +370,70 @@ def test_gradient_output_is_loss_slope():
             params - shift, features, labels, cfg.n_qubits, cfg.layers, cfg.softmax_scale
         )["loss_sum"]
         assert out["grad"][i] == pytest.approx((up - down) / (2 * h), abs=1e-4)
+
+
+def _per_sample_reference(params, features, labels, n_qubits, layers, scale):
+    """batch_gradient's result, one circuit and one adjoint_gradient per sample."""
+    z = [PauliObservable.single(n_qubits, {q: "Z"}) for q in (0, 1)]
+    grad = np.zeros(len(params))
+    loss_sum, correct = 0.0, 0
+    for x, y in zip(features, labels):
+        circuit = classifier_circuit(x, params, n_qubits, layers)
+        state = run_circuit(circuit)
+        logits = scale * np.array([expectation(state, obs) for obs in z])
+        probs = np.exp(logits - logits.max())
+        probs /= probs.sum()
+        loss_sum -= math.log(probs[y])
+        correct += int(np.argmax(probs) == y)
+        weights = scale * (probs - np.eye(2)[y])
+        weighted = PauliObservable(
+            terms=tuple((float(w), obs.terms[0][1]) for w, obs in zip(weights, z))
+        )
+        grad += adjoint_gradient(circuit, weighted)
+    return grad, loss_sum, correct
+
+
+@pytest.mark.parametrize("rows", [25, 1, 200])
+def test_batched_gradient_matches_per_sample_circuits(rows):
+    cfg = VqcConfig()  # 4 qubits, 2 layers
+    features, labels = make_blobs(cfg.samples, cfg.n_qubits, cfg.seed)
+    params = np.random.default_rng(rows).uniform(-1.0, 1.0, cfg.num_params)
+    args = (params, features[:rows], labels[:rows], cfg.n_qubits, cfg.layers, cfg.softmax_scale)
+    out = batch_gradient(*args)
+    grad, loss_sum, correct = _per_sample_reference(*args)
+    assert np.max(np.abs(np.asarray(out["grad"]) - grad)) <= 1e-9
+    assert abs(out["loss_sum"] - loss_sum) <= 1e-9
+    assert out["correct"] == correct
+    assert isinstance(out["loss_sum"], float) and isinstance(out["correct"], int)
+    assert all(isinstance(g, float) for g in out["grad"])
+
+
+def test_batched_gradient_rejects_a_short_feature_row():
+    features = [[0.1, 0.2], [0.3]]
+    with pytest.raises(ValidationError):
+        batch_gradient(np.zeros(6), features, [0, 1], 2, 1, 4.0)
+
+
+def test_batched_gradient_applies_each_gate_once_per_batch(monkeypatch):
+    cfg = VqcConfig()
+    features, labels = make_blobs(cfg.samples, cfg.n_qubits, cfg.seed)
+    params = np.zeros(cfg.num_params)
+    calls = []
+    kernel = simulate._apply_1q_view
+
+    def counted(*args):
+        calls.append(1)
+        kernel(*args)
+
+    # Every 1q, CNOT and CZ application, forward or adjoint, goes through this kernel.
+    monkeypatch.setattr(simulate, "_apply_1q_view", counted)
+    per_batch = []
+    for rows in (1, 25):
+        calls.clear()
+        batch_gradient(params, features[:rows], labels[:rows], cfg.n_qubits, cfg.layers, 4.0)
+        per_batch.append(len(calls))
+    assert per_batch[0] > 0
+    assert per_batch[0] == per_batch[1]
 
 
 def test_training_paths_agree_exactly():

@@ -134,3 +134,19 @@ def test_cut_config_max_width_may_be_a_string(tmp_path, monkeypatch):
     assert run_cli(*args, "--config", "cfg.json", "--out", "cfg.csv") == 0
     assert run_cli(*args, "--max-width", "3", "--out", "flag.csv") == 0
     assert read_csv(tmp_path / "cfg.csv")[1]["num_cuts"] == read_csv(tmp_path / "flag.csv")[1]["num_cuts"]
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("throughput", {"workers": "two"}),
+        ("circuits", {"qpu_latency": "slow"}),
+        ("cut", {"workers": ["one"]}),
+        ("vqc", {"epochs": "many"}),
+    ],
+)
+def test_non_numeric_config_value_exits_one(tmp_path, monkeypatch, capsys, command, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert run_cli(command, "--config", "cfg.json") == 1
+    assert capsys.readouterr().err.startswith("validation error: ")

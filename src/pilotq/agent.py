@@ -41,7 +41,6 @@ from pilotq.model import (
     TaskRecord,
     TaskResult,
 )
-from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES
 from pilotq.store import TaskStore
 
 
@@ -70,7 +69,6 @@ class PilotAgent:
         functions: dict | None = None,
         backend: ResourceBackend | None = None,
         on_terminal=None,
-        memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
     ):
         if workers is None:
             workers = allocation.total_cores
@@ -86,10 +84,10 @@ class PilotAgent:
         self._clock = clock or WallClock()
         self._log = log or EventLog(clock=self._clock)
         self._store = store or TaskStore(self._clock, self._log)
-        self._functions = functions or {}
+        # Keep the caller's dict, even an empty one: later registrations must reach the agent.
+        self._functions = functions if functions is not None else {}
         self._backend = backend
         self._on_terminal = on_terminal
-        self._memory_cap = memory_cap_bytes
 
         self._cond = threading.Condition()
         self._queue: deque[tuple[str, TaskDescription]] = deque()
@@ -316,7 +314,7 @@ class PilotAgent:
         # classical pilot: simulate in-agent
         result, exec_s = run_timed(
             self._clock, latency, simulate_readout,
-            qp.circuit, qp.shots, task_seed(tid), qp.observable, self._memory_cap,
+            qp.circuit, qp.shots, task_seed(tid), qp.observable,
         )
         return replace(result, exec_s=exec_s)
 

@@ -39,13 +39,7 @@ from pilotq.model import (
     validate_pilot_description,
 )
 from pilotq.qsim.circuit import Circuit, PauliObservable
-from pilotq.qsim.simulate import (
-    DEFAULT_MEMORY_CAP_BYTES,
-    expectation,
-    probabilities,
-    run_circuit,
-    sample,
-)
+from pilotq.qsim.simulate import expectation, probabilities, run_circuit, sample
 
 
 @dataclass(frozen=True)
@@ -77,11 +71,11 @@ def simulate_readout(
     shots: int,
     seed: int,
     observable: PauliObservable | None = None,
-    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> TaskResult:
-    """Simulate, then read out: the expectation of `observable` if given,
-    else `shots` sampled counts (seeded), else exact probabilities."""
-    state = run_circuit(circuit, memory_cap_bytes=memory_cap_bytes)
+    """Simulate under the simulator's default memory cap, then read out: the
+    expectation of `observable` if given, else `shots` sampled counts
+    (seeded), else exact probabilities."""
+    state = run_circuit(circuit)
     if observable is not None:
         return TaskResult(value=expectation(state, observable))
     if shots > 0:
@@ -108,16 +102,9 @@ def startup_delay(desc: PilotDescription) -> float:
 class ResourceBackend:
     """One backend kind's provisioning bookkeeping. Thread-safe."""
 
-    def __init__(
-        self,
-        kind: BackendKind,
-        *,
-        clock: Clock | None = None,
-        memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
-    ):
+    def __init__(self, kind: BackendKind, *, clock: Clock | None = None):
         self.kind = BackendKind(kind)
         self.clock = clock or WallClock()
-        self.memory_cap_bytes = memory_cap_bytes
         self._lock = threading.Lock()
         self._live: dict[int, PilotAllocation] = {}
 
@@ -165,15 +152,10 @@ class ResourceBackend:
         self.clock.sleep(queue_wait)
         result, exec_s = run_timed(
             self.clock, alloc.queue_model.per_task_latency_s, simulate_readout,
-            circuit, shots, rng_seed, memory_cap_bytes=self.memory_cap_bytes,
+            circuit, shots, rng_seed,
         )
         return TaskResult(counts=result.counts, queue_wait_s=queue_wait, exec_s=exec_s)
 
 
-def make_backends(
-    *, clock: Clock | None = None, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES
-) -> dict[BackendKind, ResourceBackend]:
-    return {
-        kind: ResourceBackend(kind, clock=clock, memory_cap_bytes=memory_cap_bytes)
-        for kind in BackendKind
-    }
+def make_backends(*, clock: Clock | None = None) -> dict[BackendKind, ResourceBackend]:
+    return {kind: ResourceBackend(kind, clock=clock) for kind in BackendKind}

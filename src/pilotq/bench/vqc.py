@@ -31,8 +31,8 @@ from pilotq.codec import JsonRecord
 from pilotq.errors import PilotQError, ValidationError
 from pilotq.model import ClassicalPayload, TaskDescription, TaskKind, TaskState
 from pilotq.qsim.circuit import Circuit, Gate, sel_circuit
-from pilotq.qsim.gradients import _adjoint_sweep
-from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES, check_memory_cap, _apply_gate_inplace
+from pilotq.qsim.gradients import adjoint_sweep
+from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES, apply_gate, check_memory_cap
 
 BATCH_GRADIENT_FN = "vqc_batch_gradient"
 
@@ -112,7 +112,7 @@ def batch_gradient(
         factor = np.stack([np.cos(half[:, q]), np.sin(half[:, q])], axis=1)
         ket = (factor[:, :, None] * ket[:, None, :]).reshape(rows, 2 << q)
     for gate in ansatz.gates:
-        _apply_gate_inplace(ket, gate)
+        apply_gate(ket, gate)
 
     amps2 = ket.real**2 + ket.imag**2
     norms = np.sqrt(amps2.sum(axis=1))
@@ -130,7 +130,7 @@ def batch_gradient(
 
     weights = scale * (probs - np.eye(2)[y])
     bra = ket * (weights[:, :, None] * signs).sum(axis=1)
-    grad = _adjoint_sweep(ansatz.gates, ket, bra, ansatz.num_params)
+    grad = adjoint_sweep(ansatz.gates, ket, bra, ansatz.num_params)
     return {"grad": grad.tolist(), "loss_sum": float(loss_sum), "correct": int(correct)}
 
 

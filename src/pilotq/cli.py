@@ -84,6 +84,21 @@ def _cfg(config: dict, key: str, flag, default, convert=None):
         raise ValidationError(f"config key {key!r}: {exc}") from exc
 
 
+def _name_list(value) -> list[str]:
+    """A comma-separated string, or a JSON list of strings."""
+    if isinstance(value, str):
+        return [name.strip() for name in value.split(",") if name.strip()]
+    if isinstance(value, list) and all(isinstance(name, str) for name in value):
+        return value
+    raise TypeError(f"expected a comma-separated string or a list of strings, got {value!r}")
+
+
+def _json_bool(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise TypeError(f"expected true or false, got {value!r}")
+
+
 def common_options(fn):
     fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
                       help="CSV output path.")(fn)
@@ -136,13 +151,10 @@ def circuits_command(
 ):
     """Random-circuit execution scaling across backends."""
     cfg = _load_config(config_path)
-    backends_val = _cfg(cfg, "backends", backends, "local,qpu_sim")
-    if isinstance(backends_val, str):
-        backends_val = [b.strip() for b in backends_val.split(",") if b.strip()]
     metrics = cmd_circuits(
         qubits_list=parse_int_list(_cfg(cfg, "qubits", qubits, "2:16:2")),
         count=_cfg(cfg, "count", count, 16, int),
-        backends=tuple(backends_val),
+        backends=tuple(_cfg(cfg, "backends", backends, "local,qpu_sim", _name_list)),
         depth=_cfg(cfg, "depth", depth, 10, int),
         shots=_cfg(cfg, "shots", shots, 256, int),
         qpu_latency_s=_cfg(cfg, "qpu_latency", qpu_latency, 0.2, float),
@@ -172,7 +184,7 @@ def gradients_command(out, log_path, config_path, seed, qubits, layers, fd_check
         layers=_cfg(cfg, "layers", layers, 2, int),
         out_path=_cfg(cfg, "out", out, "gradients.csv"),
         seed=_cfg(cfg, "seed", seed, 0, int),
-        fd_check=bool(_cfg(cfg, "fd", fd_check, True)),
+        fd_check=_cfg(cfg, "fd", fd_check, True, _json_bool),
     )
     click.echo(f"gradients: wrote rows for qubits {metrics.params['qubits']}")
 

@@ -18,8 +18,8 @@ its shape. Feasibility is decided against total capacity: requires_cores
 and requires_gpus against the allocation totals, affinity against the pilot
 name, and requires_qubits against the pilot's qubit capacity. A qpu_sim
 pilot's capacity is its qpu_qubits; classical pilots simulate circuits
-in-agent, so their capacity is whatever the memory cap admits, computed
-once per manager.
+in-agent under the simulator's default memory cap, so their capacity is
+the widest state that cap admits.
 
 "Configured" pilots are every pilot ever created, including removed ones:
 a task that fits a temporarily removed pilot waits instead of failing,
@@ -82,13 +82,11 @@ class PilotManager:
         log: EventLog | None = None,
         functions: dict | None = None,
         auto_schedule: bool = True,
-        memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
     ):
         self._clock = clock or WallClock()
         self._log = log or EventLog(clock=self._clock)
-        self._memory_cap = memory_cap_bytes
-        self._sim_qubits = sim_qubit_capacity(memory_cap_bytes)
-        self._backends = make_backends(clock=self._clock, memory_cap_bytes=memory_cap_bytes)
+        self._sim_qubits = sim_qubit_capacity(DEFAULT_MEMORY_CAP_BYTES)
+        self._backends = make_backends(clock=self._clock)
         self._functions = dict(functions or {})
         self._auto = auto_schedule
         self._store = TaskStore(self._clock, self._log)
@@ -129,7 +127,6 @@ class PilotManager:
                 functions=self._functions,
                 backend=backend,
                 on_terminal=self._on_agent_terminal,
-                memory_cap_bytes=self._memory_cap,
             ).start()
             self._pilots[desc.name] = agent
             self._configured[desc.name] = alloc

@@ -7,10 +7,10 @@ rotation U(t) = exp(-i t G / 2) the derivative is dU/dt = (-i/2) G U, so at
 each trainable gate the contribution is 2 Re <bra| (-i/2) G |ket> with the
 bra/ket maintained by un-applying gates right to left.
 
-The sweep also runs on a contiguous (B, 2**n) row stack: row b holds the
-ket or bra of sample b, the in-place kernels fold the rows into their outer
-axis, and each inner product sums over the rows. One sweep then gives the
-gradient of the summed per-row expectations.
+adjoint_sweep also runs on a contiguous (B, 2**n) row stack: row b holds
+the ket or bra of sample b, simulate's in-place gate API applies each gate
+to every row at once, and each inner product sums over the rows. One sweep
+then gives the gradient of the summed per-row expectations.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from pilotq.errors import ValidationError
 from pilotq.qsim.circuit import Circuit, PauliObservable
 from pilotq.qsim.simulate import (
     DEFAULT_MEMORY_CAP_BYTES,
+    apply_gate,
     apply_observable,
+    apply_pauli,
     check_memory_cap,
     inner,
     run_circuit,
-    _FIXED_ROWS,
-    _apply_1q_inplace,
-    _apply_gate_inplace,
 )
 
 _GENERATOR = {"RX": "X", "RY": "Y", "RZ": "Z"}
@@ -46,11 +45,11 @@ def adjoint_gradient(
     check_memory_cap(n, memory_cap_bytes, states=3)
 
     ket = run_circuit(circuit, memory_cap_bytes=memory_cap_bytes)
-    bra = apply_observable(ket, observable, n)
-    return _adjoint_sweep(circuit.gates, ket, bra, circuit.num_params)
+    bra = apply_observable(ket, observable)
+    return adjoint_sweep(circuit.gates, ket, bra, circuit.num_params)
 
 
-def _adjoint_sweep(gates, ket: np.ndarray, bra: np.ndarray, num_params: int) -> np.ndarray:
+def adjoint_sweep(gates, ket: np.ndarray, bra: np.ndarray, num_params: int) -> np.ndarray:
     """Un-apply `gates` right to left from the final ket and bra = O|ket>.
 
     ket and bra are the caller's own arrays, one state or a (B, 2**n) row
@@ -62,8 +61,8 @@ def _adjoint_sweep(gates, ket: np.ndarray, bra: np.ndarray, num_params: int) -> 
             # ket currently includes this gate, so G @ ket is G U |prefix>.
             # The generator goes on a copy: ket itself is still needed for the sweep.
             d_ket = ket.copy()
-            _apply_1q_inplace(d_ket, _FIXED_ROWS[_GENERATOR[gate.name]], gate.qubits[0])
+            apply_pauli(d_ket, _GENERATOR[gate.name], gate.qubits[0])
             grads[gate.param_index] += 2.0 * (inner(bra, d_ket) * (-0.5j)).real
-        _apply_gate_inplace(ket, gate, adjoint=True)
-        _apply_gate_inplace(bra, gate, adjoint=True)
+        apply_gate(ket, gate, adjoint=True)
+        apply_gate(bra, gate, adjoint=True)
     return grads

@@ -14,8 +14,10 @@ worker thread and oversubscribes the cores that the workers already share.
 Inner products and norms are elementwise sums for the same reason. Each
 numpy call on a large array releases the GIL, so a gate is kept to at most
 three calls: every handoff costs time when many workers share few cores.
-run_circuit updates its own state in place; the public apply_* functions
-leave their input untouched and return a new array.
+
+apply_gate and apply_pauli are the one gate API, and work in place on a
+single state or on a contiguous (B, 2**n) row stack, whose rows the view
+folds into its outer axis. Callers that need the input afterwards copy it.
 """
 
 from __future__ import annotations
@@ -34,25 +36,17 @@ DEFAULT_MEMORY_CAP_BYTES = 2 * 1024**3  # 2 GiB: up to 26 qubits single-state
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
-_FIXED_1Q = {
-    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "T": np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
+# Matrix rows of each fixed gate. CNOT and CZ hold the rows of the X and Z
+# they apply to the target on the half of the state where the control is 1.
+_FIXED_ROWS = {
+    "H": [[_SQ2, _SQ2], [_SQ2, -_SQ2]],
+    "X": [[0, 1], [1, 0]],
+    "Y": [[0, -1j], [1j, 0]],
+    "Z": [[1, 0], [0, -1]],
+    "S": [[1, 0], [0, 1j]],
+    "T": [[1, 0], [0, cmath.exp(1j * math.pi / 4)]],
 }
-
-_FIXED_2Q = {
-    # Matrix basis ordering is |q_first q_second> with q_first the high bit.
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
-}
-
-
-_FIXED_ROWS = {name: mat.tolist() for name, mat in {**_FIXED_1Q, **_FIXED_2Q}.items()}
+_FIXED_ROWS["CNOT"], _FIXED_ROWS["CZ"] = _FIXED_ROWS["X"], _FIXED_ROWS["Z"]
 
 
 def _rotation_rows(name: str, angle: float) -> list[list[complex]]:
@@ -66,16 +60,10 @@ def _rotation_rows(name: str, angle: float) -> list[list[complex]]:
     raise ValidationError(f"not a rotation gate: {name}")
 
 
-def rotation_matrix(name: str, angle: float) -> np.ndarray:
-    return np.array(_rotation_rows(name, angle), dtype=complex)
-
-
 def gate_matrix(name: str, param: float | None = None) -> np.ndarray:
-    if name in _FIXED_1Q:
-        return _FIXED_1Q[name]
-    if name in _FIXED_2Q:
-        return _FIXED_2Q[name]
-    return rotation_matrix(name, param)
+    """The 2x2 matrix of a one-qubit gate (of CNOT and CZ: on the target)."""
+    rows = _FIXED_ROWS[name] if name in _FIXED_ROWS else _rotation_rows(name, param)
+    return np.array(rows, dtype=complex)
 
 
 def memory_bytes(num_qubits: int) -> int:
@@ -114,63 +102,26 @@ def _apply_1q_view(v: np.ndarray, m: list[list[complex]], axis: int) -> None:
         v += swapped
 
 
-def _apply_1q_inplace(state: StateVector, m: list[list[complex]], qubit: int) -> None:
-    _apply_1q_view(state.reshape(-1, 2, 1 << qubit), m, 1)
-
-
-def _apply_2q_inplace(state: StateVector, m: list[list[complex]], q_first: int, q_second: int) -> None:
-    """Matrix basis order is |q_first q_second>, q_first the high bit."""
-    hi, lo = max(q_first, q_second), min(q_first, q_second)
-    v = state.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    if m[0] == [1, 0, 0, 0] and m[1] == [0, 1, 0, 0] and m[2][:2] == m[3][:2] == [0, 0]:
-        # Controlled on q_first (CNOT, CZ): a 1q gate on the q_first = 1 half.
-        target = [m[2][2:], m[3][2:]]
-        if q_first == hi:
-            _apply_1q_view(v[:, 1], target, 2)
-        else:
-            _apply_1q_view(v[:, :, :, 1], target, 1)
-        return
-    quarters = [
-        v[:, x, :, y] if q_first == hi else v[:, y, :, x] for x in (0, 1) for y in (0, 1)
-    ]
-    new = [sum(c * quarter for c, quarter in zip(row, quarters) if c != 0) for row in m]
-    for quarter, value in zip(quarters, new):
-        quarter[...] = value
-
-
-def _apply_gate_inplace(state: StateVector, gate, *, adjoint: bool = False) -> None:
+def apply_gate(state: StateVector, gate, *, adjoint: bool = False) -> None:
+    """Apply `gate` (or its adjoint) in place to a state or a row stack."""
     m = _FIXED_ROWS.get(gate.name) or _rotation_rows(gate.name, gate.param)
     if adjoint:
         m = [[x.conjugate() for x in col] for col in zip(*m)]
     if len(gate.qubits) == 1:
-        _apply_1q_inplace(state, m, gate.qubits[0])
+        _apply_1q_view(state.reshape(-1, 2, 1 << gate.qubits[0]), m, 1)
+        return
+    control, target = gate.qubits
+    hi, lo = max(control, target), min(control, target)
+    v = state.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    if control == hi:
+        _apply_1q_view(v[:, 1], m, 2)
     else:
-        _apply_2q_inplace(state, m, gate.qubits[0], gate.qubits[1])
+        _apply_1q_view(v[:, :, :, 1], m, 1)
 
 
-def _fresh(state: StateVector, num_qubits: int) -> StateVector:
-    """A contiguous complex copy that the in-place kernels may overwrite."""
-    return np.array(state, dtype=complex).reshape(2**num_qubits)
-
-
-def apply_1q(state: StateVector, mat: np.ndarray, qubit: int, num_qubits: int) -> StateVector:
-    out = _fresh(state, num_qubits)
-    _apply_1q_inplace(out, mat.tolist(), qubit)
-    return out
-
-
-def apply_2q(
-    state: StateVector, mat: np.ndarray, q_first: int, q_second: int, num_qubits: int
-) -> StateVector:
-    out = _fresh(state, num_qubits)
-    _apply_2q_inplace(out, mat.tolist(), q_first, q_second)
-    return out
-
-
-def apply_gate(state: StateVector, gate, num_qubits: int, *, adjoint: bool = False) -> StateVector:
-    out = _fresh(state, num_qubits)
-    _apply_gate_inplace(out, gate, adjoint=adjoint)
-    return out
+def apply_pauli(state: StateVector, letter: str, qubit: int) -> None:
+    """Apply the Pauli X, Y or Z to `qubit` in place, on a state or a row stack."""
+    _apply_1q_view(state.reshape(-1, 2, 1 << qubit), _FIXED_ROWS[letter], 1)
 
 
 def zero_state(num_qubits: int) -> StateVector:
@@ -184,26 +135,21 @@ def run_circuit(circuit: Circuit, *, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_
     check_memory_cap(circuit.num_qubits, memory_cap_bytes)
     state = zero_state(circuit.num_qubits)
     for gate in circuit.gates:
-        _apply_gate_inplace(state, gate)
+        apply_gate(state, gate)
     norm = math.sqrt(inner(state, state).real)
     if abs(norm - 1.0) > 1e-9:
         raise RuntimeError(f"state norm drifted to {norm}")
     return state
 
 
-def apply_pauli_string(state: StateVector, string: str, num_qubits: int) -> StateVector:
-    out = _fresh(state, num_qubits)
-    for q, letter in enumerate(string):
-        if letter != "I":
-            _apply_1q_inplace(out, _FIXED_ROWS[letter], q)
-    return out
-
-
-def apply_observable(state: StateVector, observable: PauliObservable, num_qubits: int) -> StateVector:
+def apply_observable(state: StateVector, observable: PauliObservable) -> StateVector:
     """Return observable @ state (sum of Pauli-string applications)."""
     acc = np.zeros_like(state)
     for coeff, string in observable.terms:
-        term = apply_pauli_string(state, string, num_qubits)
+        term = state.copy()
+        for q, letter in enumerate(string):
+            if letter != "I":
+                apply_pauli(term, letter, q)
         term *= coeff
         acc += term
     return acc
@@ -215,7 +161,7 @@ def expectation(state: StateVector, observable: PauliObservable) -> float:
         raise ValidationError(
             f"observable is on {observable.num_qubits} qubits, state has {num_qubits}"
         )
-    return inner(state, apply_observable(state, observable, num_qubits)).real
+    return inner(state, apply_observable(state, observable)).real
 
 
 def inner(bra: StateVector, ket: StateVector) -> complex:

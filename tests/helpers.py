@@ -107,19 +107,6 @@ def cz_matrix(a: int, b: int, n: int) -> np.ndarray:
     return np.diag(signs)
 
 
-def embed_2q(mat: np.ndarray, q_first: int, q_second: int, n: int) -> np.ndarray:
-    """Any 4x4 matrix in the basis |q_first q_second> (q_first the high bit)."""
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    others = ~((1 << q_first) | (1 << q_second))
-    for i in range(dim):
-        col = 2 * ((i >> q_first) & 1) + ((i >> q_second) & 1)
-        for row in range(4):
-            j = (i & others) | ((row >> 1) << q_first) | ((row & 1) << q_second)
-            out[j, i] = mat[row, col]
-    return out
-
-
 def gate_to_matrix(gate, n: int) -> np.ndarray:
     if gate.name == "CNOT":
         return cnot_matrix(gate.qubits[0], gate.qubits[1], n)

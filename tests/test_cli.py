@@ -122,6 +122,13 @@ def test_gradients_no_fd_leaves_check_column_empty(tmp_path, monkeypatch):
     assert row["grad_fd_max_rel_err"] == ""
 
 
+def test_circuits_config_backends_may_be_a_list(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"backends": ["local"]}))
+    assert run_cli("circuits", "--qubits", "2", "--count", "1", "--config", "cfg.json") == 0
+    assert {row["backend"] for row in read_csv(tmp_path / "circuits.csv")} == {"local"}
+
+
 def test_empty_task_spec_is_a_validation_error(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli("throughput", "--tasks", "") == 1
@@ -143,6 +150,8 @@ def test_cut_config_max_width_may_be_a_string(tmp_path, monkeypatch):
         ("circuits", {"qpu_latency": "slow"}),
         ("cut", {"workers": ["one"]}),
         ("vqc", {"epochs": "many"}),
+        ("circuits", {"backends": 5}),
+        ("gradients", {"fd": "false"}),
     ],
 )
 def test_non_numeric_config_value_exits_one(tmp_path, monkeypatch, capsys, command, config):

@@ -398,7 +398,7 @@ def test_workflow_refuses_without_a_feasible_pilot():
 
 
 def test_workflow_surfaces_fragment_failures():
-    manager = PilotManager(memory_cap_bytes=2**40)  # huge cap: feasibility says yes
+    manager = PilotManager()
     try:
         manager.create_pilot(local_desc("cpu", cores=2))
         circ = clustered_circuit([2, 2], reps=1, seed=0)

@@ -2,7 +2,8 @@
 
 Every name a pilotq module imports is used in that module, and every private
 (`_`-prefixed) module-level function, class or constant is referenced
-somewhere in the package. The task store is the only module that writes
+somewhere in the package, and no module imports another pilotq module's
+private name. The task store is the only module that writes
 task-lifecycle events: outside `store.py`, every `.emit(...)` names its
 event with a string literal, and never a lifecycle one. No linter ships
 with the project, so these walk each module's AST instead. The import scan
@@ -137,6 +138,38 @@ def test_the_private_name_scan_flags_only_unreferenced_names():
         "a.py:2 _unused_total",
         "a.py:5 _session_payload",
     ]
+
+
+def private_imports(source: str) -> list[str]:
+    """`line name` for each `_name` imported from a pilotq module."""
+    return sorted(
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "pilotq")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = {
+        str(path.relative_to(PACKAGE)): names
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (names := private_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_the_private_import_scan_flags_only_pilotq_private_names():
+    source = (
+        "from pilotq.qsim.simulate import apply_gate, _FIXED_ROWS\n"
+        "from pilotq import __version__\n"
+        "from os.path import _joinrealpath\n"
+        "from .gradients import adjoint_sweep, _GENERATOR\n"
+        "import pilotq._hidden\n"
+    )
+    assert private_imports(source) == ["line 1: _FIXED_ROWS", "line 4: _GENERATOR"]
 
 
 def test_every_exported_name_resolves_once():

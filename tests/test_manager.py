@@ -276,6 +276,19 @@ def test_failed_attempts_retry_on_the_manager(manager):
     assert calls["n"] == 2
 
 
+def test_a_function_registered_after_create_pilot_reaches_the_agent(manager):
+    manager.create_pilot(local_desc("p", cores=1))
+    manager.register_function("late", lambda x: x + 1)
+    desc = TaskDescription(
+        task_id="late",
+        kind=TaskKind.CLASSICAL_FN,
+        payload=ClassicalPayload(function="late", args=(41,)),
+    )
+    rec = manager.wait([manager.submit_task(desc)], timeout=10.0).records["late"]
+    assert rec.state is TaskState.DONE, rec.error
+    assert rec.result.data == 42
+
+
 def test_retries_exhaust_to_failed(manager):
     manager.register_function("die", lambda: (_ for _ in ()).throw(RuntimeError("always")))
     manager.create_pilot(local_desc("p", cores=2))

@@ -208,7 +208,7 @@ def _finish(
 
 
 def cmd_throughput(
-    tasks_list,
+    tasks_list=(256, 1024, 8192),
     pilots: int = 1,
     workers: int = 8,
     out_path="throughput.csv",
@@ -291,7 +291,7 @@ def _circuit_task_seed(seed: int, num_qubits: int, index: int) -> int:
 
 
 def cmd_circuits(
-    qubits_list,
+    qubits_list=tuple(range(2, 17, 2)),
     count: int = 16,
     backends=("local", "qpu_sim"),
     depth: int = 10,
@@ -415,7 +415,7 @@ def cmd_circuits(
 
 
 def cmd_gradients(
-    qubits_list,
+    qubits_list=tuple(range(2, 9)),
     layers: int = 2,
     out_path="gradients.csv",
     seed: int = 0,
@@ -505,7 +505,7 @@ def _central_fd(circuit, observable, params, memory_cap_bytes) -> np.ndarray:
 
 
 def cmd_cut(
-    cluster_sizes,
+    cluster_sizes=(6, 6),
     reps: int = 1,
     max_width: int | None = None,
     shots: int = 0,

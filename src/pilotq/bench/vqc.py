@@ -57,8 +57,10 @@ class VqcConfig(JsonRecord):
             raise ValidationError("layers and epochs must be >= 0")
         if self.samples < 2 or self.batch_size < 1:
             raise ValidationError("samples >= 2 and batch_size >= 1 required")
-        if self.learning_rate <= 0 or self.softmax_scale <= 0:
-            raise ValidationError("learning_rate and softmax_scale must be > 0")
+        if not (0 < self.learning_rate < math.inf and 0 < self.softmax_scale < math.inf):
+            raise ValidationError("learning_rate and softmax_scale must be finite and > 0")
+        if not math.isfinite(self.momentum):
+            raise ValidationError("momentum must be finite")
         if self.optimizer not in ("gd", "momentum"):
             raise ValidationError("optimizer must be 'gd' or 'momentum'")
 

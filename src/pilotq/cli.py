@@ -1,10 +1,16 @@
 """`pq`: the benchmark command line.
 
-Subcommands: throughput, circuits, gradients, cut, vqc, status. Common
-flags: --out (CSV path), --log (JSONL event log), --config (JSON file
-supplying defaults for unset flags), --seed. Precedence: explicit flag >
-config file > built-in default. Exit codes: 0 success, 1 validation error,
-2 runtime failure.
+Each benchmark subcommand is declared once, by its table in `TABLES`: rows
+of (key, runner keyword, type, help). `table_command` turns a table into
+click flags (`--max-width` for the key `max_width`, `--fd/--no-fd` for a
+bool row) plus `--config`, a JSON object keyed by the row keys. A flag
+string and a config value go through the same row type, which checks shape
+only (ranges, finiteness and choices are the domain validators'), and a
+config key that no row names is an error. Only keys set by a flag, else by
+the config (`null` is unset), reach the runner, so each default lives once:
+in its `cmd_*` signature or in `VqcConfig`. Precedence: flag > config >
+runner default. Exit codes: 0 success, 1 validation or usage error,
+2 runtime failure, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -25,30 +31,121 @@ from pilotq.bench.runners import (
 )
 from pilotq.bench.vqc import VqcConfig
 from pilotq.errors import PilotQError, ValidationError
+from pilotq.model import validate_seed
+
+# --- row types: a flag string or a JSON config value in, the runner's value out ---------
+
+
+def _int(value) -> int:
+    """An integral number or a decimal string; never a bool or a fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _names(value) -> tuple[str, ...]:
+    """A comma-separated string, or a list of strings."""
+    if isinstance(value, str):
+        return tuple(name.strip() for name in value.split(",") if name.strip())
+    if isinstance(value, list) and all(isinstance(name, str) for name in value):
+        return tuple(value)
+    raise TypeError(f"expected a comma-separated string or a list of strings, got {value!r}")
+
+
+def _seed(value) -> int:
+    return validate_seed(_int(value))
 
 
 def parse_int_list(spec) -> list[int]:
-    """Accept 7, "7", "1,4,8", or inclusive ranges "2:16" / "2:16:2"."""
-    if isinstance(spec, int):
-        return [spec]
+    """Accept 7, "7", "1,4,8", a list of ints, or inclusive ranges "2:16" / "2:16:2"."""
     try:
         if isinstance(spec, (list, tuple)):
-            return [int(x) for x in spec]
-        text = str(spec).strip()
-        if ":" not in text:
-            return [int(p) for p in text.split(",") if p.strip() != ""]
-        parts = [int(p) for p in text.split(":")]
+            return [_int(x) for x in spec]
+        if not isinstance(spec, str):
+            return [_int(spec)]
+        if ":" not in spec:
+            return [_int(p) for p in spec.split(",") if p.strip()]
+        parts = [_int(p) for p in spec.split(":")]
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad integer list: {spec!r}") from exc
-    if len(parts) == 2:
-        start, stop, step = parts[0], parts[1], 1
-    elif len(parts) == 3:
-        start, stop, step = parts
-    else:
-        raise ValidationError(f"bad range: {text!r} (use start:stop[:step])")
+    if len(parts) not in (2, 3):
+        raise ValidationError(f"bad range: {spec!r} (use start:stop[:step])")
+    start, stop, step = (parts + [1])[:3]
     if step < 1 or stop < start:
-        raise ValidationError(f"bad range: {text!r}")
+        raise ValidationError(f"bad range: {spec!r}")
     return list(range(start, stop + 1, step))
+
+
+# --- the option tables ------------------------------------------------------------------
+
+OUT = ("out", "out_path", _str, "CSV output path.")
+LOG = ("log", "log_path", _str, "JSONL event-log path.")
+SEED = ("seed", "seed", _seed, "Deterministic seed, 0 <= seed < 2**64.")
+
+TABLES = {
+    "throughput": (
+        ("tasks", "tasks_list", parse_int_list, "Task counts, e.g. '256,1024,8192'."),
+        ("pilots", "pilots", _int, "Local pilots to create."),
+        ("workers", "workers", _int, "Workers per pilot."),
+        OUT, LOG, SEED,
+    ),
+    "circuits": (
+        ("qubits", "qubits_list", parse_int_list, "Qubit counts, e.g. '2:16:2'."),
+        ("count", "count", _int, "Circuits per qubit count."),
+        ("backends", "backends", _names, "Comma list from {local,qpu_sim}."),
+        ("depth", "depth", _int, "Random-circuit layer count."),
+        ("shots", "shots", _int, "Shots per qpu_sim task."),
+        ("qpu_latency", "qpu_latency_s", _float, "qpu_sim per-task latency (s)."),
+        ("workers", "workers", _int, "Workers per pilot."),
+        OUT, LOG, SEED,
+    ),
+    "gradients": (  # runs in-process, so it writes no event log
+        ("qubits", "qubits_list", parse_int_list, "Qubit counts, e.g. '2:8'."),
+        ("layers", "layers", _int, "SEL layers."),
+        ("fd", "fd_check", _bool, "Check the adjoint result against central differences."),
+        OUT, SEED,
+    ),
+    "cut": (
+        ("sizes", "cluster_sizes", parse_int_list, "Cluster sizes, e.g. '6,6'."),
+        ("reps", "reps", _int, "Block repetitions per cluster."),
+        ("max_width", "max_width", _int, "Widest allowed fragment."),
+        ("shots", "shots", _int, "0 = exact fragments."),
+        ("workers", "workers_list", parse_int_list, "Worker counts to sweep, e.g. '1,4'."),
+        ("task_latency", "task_latency_s", _float, "Pilot per-task latency (s)."),
+        OUT, LOG, SEED,
+    ),
+    "vqc": (
+        ("qubits", "n_qubits", _int, "Feature/qubit count."),
+        ("layers", "layers", _int, "Ansatz layers."),
+        ("samples", "samples", _int, "Dataset size."),
+        ("epochs", "epochs", _int, "Training epochs."),
+        ("batch_size", "batch_size", _int, "Samples per gradient task."),
+        ("lr", "learning_rate", _float, "Learning rate."),
+        ("optimizer", "optimizer", _str, "gd or momentum."),
+        ("workers", "workers", _int, "Workers on the pilot."),
+        OUT, LOG, SEED,
+    ),
+}
 
 
 def _load_config(path) -> dict:
@@ -64,50 +161,22 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _cfg(config: dict, key: str, flag, default, convert=None):
-    """Flag, else the config value (null counts as unset), else default.
-
-    A value other than None goes through `convert`; a config value that
-    `convert` rejects is a ValidationError, not a traceback.
-    """
-    if flag is not None:
-        value = flag
-    elif config.get(key) is not None:
-        value = config[key]
-    else:
-        value = default
-    if convert is None or value is None:
-        return value
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config key {key!r}: {exc}") from exc
-
-
-def _name_list(value) -> list[str]:
-    """A comma-separated string, or a JSON list of strings."""
-    if isinstance(value, str):
-        return [name.strip() for name in value.split(",") if name.strip()]
-    if isinstance(value, list) and all(isinstance(name, str) for name in value):
-        return value
-    raise TypeError(f"expected a comma-separated string or a list of strings, got {value!r}")
-
-
-def _json_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    raise TypeError(f"expected true or false, got {value!r}")
-
-
-def common_options(fn):
-    fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
-                      help="CSV output path.")(fn)
-    fn = click.option("--log", "log_path", type=click.Path(dir_okay=False), default=None,
-                      help="JSONL event-log path.")(fn)
-    fn = click.option("--config", "config_path", type=click.Path(exists=False), default=None,
-                      help="JSON file with defaults for unset flags.")(fn)
-    fn = click.option("--seed", type=int, default=None, help="Deterministic seed.")(fn)
-    return fn
+def resolve_options(table, flags: dict, config: dict) -> dict:
+    """Runner keywords for the rows set by a flag, else by the config (None is unset)."""
+    unknown = sorted(set(config) - {row[0] for row in table})
+    if unknown:
+        raise ValidationError(f"config key {unknown[0]!r} is not an option of this command")
+    options = {}
+    for key, keyword, kind, _ in table:
+        flag = "--" + key.replace("_", "-")
+        # the flag is parsed after the config value, so it wins
+        for where, value in ((f"config key {key!r}", config.get(key)), (flag, flags.get(key))):
+            if value is not None:
+                try:
+                    options[keyword] = kind(value)
+                except (TypeError, ValueError) as exc:
+                    raise ValidationError(f"{where}: {exc}") from exc
+    return options
 
 
 @click.group(name="pq")
@@ -115,143 +184,69 @@ def cli():
     """Pilot-job quantum benchmark harness."""
 
 
-@cli.command("throughput")
-@common_options
-@click.option("--tasks", default=None, help="Task counts, e.g. '256,1024,8192'.")
-@click.option("--pilots", type=int, default=None, help="Local pilots to create.")
-@click.option("--workers", type=int, default=None, help="Workers per pilot.")
-def throughput_command(out, log_path, config_path, seed, tasks, pilots, workers):
+def table_command(name: str):
+    """Register `run(options)` as subcommand `name`, with a flag per TABLES[name] row."""
+    table = TABLES[name]
+
+    def register(run):
+        def callback(config_path, **flags):
+            run(resolve_options(table, flags, _load_config(config_path)))
+
+        params = [click.Option(["--config", "config_path"], help="JSON file of option values.")]
+        for key, _, kind, help_text in table:
+            flag = "--" + key.replace("_", "-")
+            if kind is _bool:
+                flag += "/--no-" + key.replace("_", "-")
+            # default=None marks the flag unset; a bool flag would otherwise default to False
+            params.append(click.Option([flag, key], default=None, help=help_text))
+        cli.add_command(click.Command(name, callback=callback, params=params, help=run.__doc__))
+        return run
+
+    return register
+
+
+@table_command("throughput")
+def throughput_command(options):
     """Zero-compute task storm measuring middleware overhead."""
-    cfg = _load_config(config_path)
-    metrics = cmd_throughput(
-        tasks_list=parse_int_list(_cfg(cfg, "tasks", tasks, "256,1024,8192")),
-        pilots=_cfg(cfg, "pilots", pilots, 1, int),
-        workers=_cfg(cfg, "workers", workers, 8, int),
-        out_path=_cfg(cfg, "out", out, "throughput.csv"),
-        log_path=_cfg(cfg, "log", log_path, None),
-        seed=_cfg(cfg, "seed", seed, 0, int),
-    )
+    metrics = cmd_throughput(**options)
     click.echo(
         f"throughput: {metrics.tasks_done}/{metrics.tasks_total} tasks done, "
         f"{metrics.throughput_tasks_per_s:.1f} tasks/s overall"
     )
 
 
-@cli.command("circuits")
-@common_options
-@click.option("--qubits", default=None, help="Qubit counts, e.g. '2:16:2'.")
-@click.option("--count", type=int, default=None, help="Circuits per qubit count.")
-@click.option("--backends", default=None, help="Comma list from {local,qpu_sim}.")
-@click.option("--depth", type=int, default=None, help="Random-circuit layer count.")
-@click.option("--shots", type=int, default=None, help="Shots per qpu_sim task.")
-@click.option("--qpu-latency", type=float, default=None, help="qpu_sim per-task latency (s).")
-@click.option("--workers", type=int, default=None, help="Workers per pilot.")
-def circuits_command(
-    out, log_path, config_path, seed, qubits, count, backends, depth, shots, qpu_latency, workers
-):
+@table_command("circuits")
+def circuits_command(options):
     """Random-circuit execution scaling across backends."""
-    cfg = _load_config(config_path)
-    metrics = cmd_circuits(
-        qubits_list=parse_int_list(_cfg(cfg, "qubits", qubits, "2:16:2")),
-        count=_cfg(cfg, "count", count, 16, int),
-        backends=tuple(_cfg(cfg, "backends", backends, "local,qpu_sim", _name_list)),
-        depth=_cfg(cfg, "depth", depth, 10, int),
-        shots=_cfg(cfg, "shots", shots, 256, int),
-        qpu_latency_s=_cfg(cfg, "qpu_latency", qpu_latency, 0.2, float),
-        workers=_cfg(cfg, "workers", workers, 4, int),
-        out_path=_cfg(cfg, "out", out, "circuits.csv"),
-        log_path=_cfg(cfg, "log", log_path, None),
-        seed=_cfg(cfg, "seed", seed, 0, int),
-    )
+    metrics = cmd_circuits(**options)
     click.echo(
         f"circuits: {metrics.tasks_done} done, {metrics.tasks_failed} failed "
         f"across {metrics.params['backends']}"
     )
 
 
-@cli.command("gradients")
-@common_options
-@click.option("--qubits", default=None, help="Qubit counts, e.g. '2:8'.")
-@click.option("--layers", type=int, default=None, help="SEL layers.")
-@click.option("--fd/--no-fd", "fd_check", default=None,
-              help="Check the adjoint result against central differences.")
-def gradients_command(out, log_path, config_path, seed, qubits, layers, fd_check):
+@table_command("gradients")
+def gradients_command(options):
     """Adjoint-gradient timing and finite-difference verification."""
-    del log_path  # runs in-process; no event log
-    cfg = _load_config(config_path)
-    metrics = cmd_gradients(
-        qubits_list=parse_int_list(_cfg(cfg, "qubits", qubits, "2:8")),
-        layers=_cfg(cfg, "layers", layers, 2, int),
-        out_path=_cfg(cfg, "out", out, "gradients.csv"),
-        seed=_cfg(cfg, "seed", seed, 0, int),
-        fd_check=_cfg(cfg, "fd", fd_check, True, _json_bool),
-    )
+    metrics = cmd_gradients(**options)
     click.echo(f"gradients: wrote rows for qubits {metrics.params['qubits']}")
 
 
-@cli.command("cut")
-@common_options
-@click.option("--sizes", default=None, help="Cluster sizes, e.g. '6,6'.")
-@click.option("--reps", type=int, default=None, help="Block repetitions per cluster.")
-@click.option("--max-width", type=int, default=None, help="Widest allowed fragment.")
-@click.option("--shots", type=int, default=None, help="0 = exact fragments.")
-@click.option("--workers", default=None, help="Worker counts to sweep, e.g. '1,4'.")
-@click.option("--task-latency", type=float, default=None, help="Pilot per-task latency (s).")
-def cut_command(
-    out, log_path, config_path, seed, sizes, reps, max_width, shots, workers, task_latency
-):
+@table_command("cut")
+def cut_command(options):
     """Cut a clustered circuit and reconstruct the observable."""
-    cfg = _load_config(config_path)
-    metrics = cmd_cut(
-        cluster_sizes=parse_int_list(_cfg(cfg, "sizes", sizes, "6,6")),
-        reps=_cfg(cfg, "reps", reps, 1, int),
-        max_width=_cfg(cfg, "max_width", max_width, None, int),
-        shots=_cfg(cfg, "shots", shots, 0, int),
-        workers_list=parse_int_list(_cfg(cfg, "workers", workers, "1,4")),
-        task_latency_s=_cfg(cfg, "task_latency", task_latency, 0.1, float),
-        out_path=_cfg(cfg, "out", out, "cut.csv"),
-        log_path=_cfg(cfg, "log", log_path, None),
-        seed=_cfg(cfg, "seed", seed, 0, int),
-    )
+    metrics = cmd_cut(**options)
     click.echo(f"cut: config [{metrics.params['config']}], "
                f"{metrics.tasks_done} subexperiments executed")
 
 
-@cli.command("vqc")
-@common_options
-@click.option("--qubits", type=int, default=None, help="Feature/qubit count.")
-@click.option("--layers", type=int, default=None, help="Ansatz layers.")
-@click.option("--samples", type=int, default=None, help="Dataset size.")
-@click.option("--epochs", type=int, default=None)
-@click.option("--batch-size", type=int, default=None)
-@click.option("--lr", type=float, default=None, help="Learning rate.")
-@click.option("--optimizer", type=click.Choice(["gd", "momentum"]), default=None)
-@click.option("--workers", type=int, default=None, help="Workers on the pilot.")
-def vqc_command(
-    out, log_path, config_path, seed, qubits, layers, samples, epochs, batch_size, lr,
-    optimizer, workers,
-):
+@table_command("vqc")
+def vqc_command(options):
     """Train the variational classifier on synthetic blobs."""
-    cfg = _load_config(config_path)
-    config = VqcConfig(
-        n_qubits=_cfg(cfg, "qubits", qubits, 4, int),
-        layers=_cfg(cfg, "layers", layers, 2, int),
-        samples=_cfg(cfg, "samples", samples, 200, int),
-        seed=_cfg(cfg, "seed", seed, 7, int),
-        epochs=_cfg(cfg, "epochs", epochs, 50, int),
-        batch_size=_cfg(cfg, "batch_size", batch_size, 25, int),
-        learning_rate=_cfg(cfg, "lr", lr, 0.1, float),
-        optimizer=_cfg(cfg, "optimizer", optimizer, "gd"),
-    )
-    metrics = cmd_vqc(
-        config,
-        workers=_cfg(cfg, "workers", workers, 4, int),
-        out_path=_cfg(cfg, "out", out, "vqc.csv"),
-        log_path=_cfg(cfg, "log", log_path, None),
-    )
-    click.echo(
-        f"vqc: {config.epochs} epochs, {metrics.tasks_done} gradient tasks done"
-    )
+    run = {k: options.pop(k) for k in ("workers", "out_path", "log_path") if k in options}
+    config = VqcConfig(**options)
+    metrics = cmd_vqc(config, **run)
+    click.echo(f"vqc: {config.epochs} epochs, {metrics.tasks_done} gradient tasks done")
 
 
 @cli.command("status")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -98,6 +99,13 @@ class PilotDescription(JsonRecord):
         return self.nodes * self.gpus_per_node
 
 
+def validate_seed(seed) -> int:
+    """`seed` as an int; ValidationError unless 0 <= seed < 2**64."""
+    if not (0 <= int(seed) < 2**64):
+        raise ValidationError("seed must fit an unsigned 64-bit integer")
+    return int(seed)
+
+
 def validate_pilot_description(desc: PilotDescription) -> None:
     if not isinstance(desc, PilotDescription):
         raise ValidationError("expected a PilotDescription")
@@ -107,13 +115,12 @@ def validate_pilot_description(desc: PilotDescription) -> None:
         raise ValidationError("nodes and cores_per_node must be >= 1")
     if desc.gpus_per_node < 0 or desc.qpu_qubits < 0:
         raise ValidationError("gpus_per_node and qpu_qubits must be >= 0")
-    if desc.walltime_s <= 0:
-        raise ValidationError("walltime_s must be > 0")
-    if not (0 <= int(desc.seed) < 2**64):
-        raise ValidationError("seed must fit an unsigned 64-bit integer")
+    if not 0 < desc.walltime_s < math.inf:  # also false for NaN
+        raise ValidationError("walltime_s must be finite and > 0")
+    validate_seed(desc.seed)
     qm = desc.queue_model
-    if qm.base_delay_s < 0 or qm.jitter_s < 0 or qm.per_task_latency_s < 0:
-        raise ValidationError("queue model delays must be >= 0")
+    if not all(0 <= d < math.inf for d in (qm.base_delay_s, qm.jitter_s, qm.per_task_latency_s)):
+        raise ValidationError("queue model delays must be finite and >= 0")
     if desc.backend_kind is BackendKind.QPU_SIM:
         if desc.qpu_qubits < 1:
             raise ValidationError("qpu_sim pilots must set qpu_qubits >= 1")

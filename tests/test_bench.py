@@ -342,6 +342,13 @@ def test_config_validation_and_param_count():
         dict(learning_rate=0.0),
         dict(optimizer="adam"),
         dict(epochs=-1),
+        # non-finite values compare False against every bound, so each is named
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(momentum=float("nan")),
+        dict(momentum=float("-inf")),
+        dict(softmax_scale=float("nan")),
+        dict(softmax_scale=float("inf")),
     ):
         with pytest.raises(ValidationError):
             VqcConfig(**bad)

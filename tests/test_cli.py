@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pilotq.bench.runners import read_csv
-from pilotq.cli import _cfg, main, parse_int_list
+from pilotq.cli import TABLES, main, parse_int_list, resolve_options
 from pilotq.errors import ValidationError
 
 
@@ -44,10 +44,11 @@ def test_int_list_rejects_malformed_specs(spec):
 
 
 def test_cfg_precedence_is_flag_config_default():
+    table = TABLES["throughput"]
     config = {"workers": 3}
-    assert _cfg(config, "workers", 9, 1) == 9
-    assert _cfg(config, "workers", None, 1) == 3
-    assert _cfg({}, "workers", None, 1) == 1
+    assert resolve_options(table, {"workers": "9"}, config) == {"workers": 9}
+    assert resolve_options(table, {"workers": None}, config) == {"workers": 3}
+    assert resolve_options(table, {}, {}) == {}  # unset keys leave the runner's default
 
 
 # --- exit codes ------------------------------------------------------------------------
@@ -152,6 +153,15 @@ def test_cut_config_max_width_may_be_a_string(tmp_path, monkeypatch):
         ("vqc", {"epochs": "many"}),
         ("circuits", {"backends": 5}),
         ("gradients", {"fd": "false"}),
+        ("throughput", {"out": 5}),
+        ("throughput", {"log": 7}),
+        ("throughput", {"tasks": [True, 2]}),
+        ("cut", {"reps": 1.7}),
+        ("throughput", {"workers": 2.9}),
+        ("circuits", {"shots": True}),
+        ("cut", {"max_width": 2.5}),
+        ("throughput", {"worker": 2}),
+        ("gradients", {"log": "g.jsonl"}),
     ],
 )
 def test_non_numeric_config_value_exits_one(tmp_path, monkeypatch, capsys, command, config):
@@ -159,3 +169,29 @@ def test_non_numeric_config_value_exits_one(tmp_path, monkeypatch, capsys, comma
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     assert run_cli(command, "--config", "cfg.json") == 1
     assert capsys.readouterr().err.startswith("validation error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,prefix",
+    [
+        (("vqc", "--lr", "nan"), "validation error: "),
+        (("circuits", "--qubits", "2", "--count", "1", "--backends", "qpu_sim",
+          "--qpu-latency", "inf"), "validation error: "),
+        (("cut", "--sizes", "2,2", "--workers", "1", "--task-latency", "nan"), "validation error: "),
+        (("gradients", "--seed", "-1"), "validation error: "),
+        (("cut", "--seed", "-1"), "validation error: "),
+        (("gradients", "--log", "g.jsonl"), "error: "),
+    ],
+)
+def test_bad_flag_value_exits_one(tmp_path, monkeypatch, capsys, argv, prefix):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("command", sorted(TABLES))
+def test_help_lists_every_table_key_as_a_flag(capsys, command):
+    assert run_cli(command, "--help") == 0
+    out = capsys.readouterr().out
+    for key, *_ in TABLES[command]:
+        assert "--" + key.replace("_", "-") in out

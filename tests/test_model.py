@@ -255,6 +255,16 @@ def test_pilot_validation_rules():
         PilotDescription(
             name="p", backend_kind=BackendKind.LOCAL, queue_model=QueueModel(base_delay_s=-1.0)
         ),
+        # non-finite times: NaN passes every comparison-based bound, inf never elapses
+        PilotDescription(name="p", backend_kind=BackendKind.LOCAL, walltime_s=float("nan")),
+        PilotDescription(name="p", backend_kind=BackendKind.LOCAL, walltime_s=float("inf")),
+        *(
+            PilotDescription(
+                name="p", backend_kind=BackendKind.LOCAL, queue_model=QueueModel(**{attr: value})
+            )
+            for attr in ("base_delay_s", "jitter_s", "per_task_latency_s")
+            for value in (float("nan"), float("inf"))
+        ),
     ]
     for desc in bad:
         with pytest.raises(ValidationError):

@@ -15,9 +15,11 @@ work is a queue removal plus a NEW -> CANCELED transition; a task that
 already reached a worker is not cancelable. The store logs the event of
 each transition; the agent itself logs only agent_ready and agent_stopped.
 
-The agent reports readiness only once the clock passes the allocation's
-granted_at_s, it refuses dispatch after expires_at_s, and shutdown(drain)
-either finishes or cancels the queue before releasing the allocation.
+Workers wait out granted_at_s on the agent's condition via `clock.wait_until`
+(the first through logs agent_ready), then wait there for work with no
+timeout: each change that can end a wait notifies. The agent refuses
+dispatch after expires_at_s, and shutdown(drain) either finishes or cancels
+the queue before releasing the allocation.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class PilotAgent:
 
     def start(self) -> "PilotAgent":
         for i in range(self._workers):
-            t = threading.Thread(target=self._worker, args=(i,), daemon=True, name=f"{self.name}-w{i}")
+            t = threading.Thread(target=self._worker, daemon=True, name=f"{self.name}-w{i}")
             t.start()
             self._threads.append(t)
         return self
@@ -131,6 +133,7 @@ class PilotAgent:
             for item in self._queue:
                 if item[0] == task_id:
                     self._queue.remove(item)
+                    self._cond.notify_all()  # it may have been a wide head
                     return True
         return False
 
@@ -183,17 +186,12 @@ class PilotAgent:
 
     # --- worker machinery --------------------------------------------------------
 
-    def _await_ready(self) -> bool:
-        """Wait for granted_at; False if a cancel-shutdown aborted the wait."""
-        while True:
-            now = self._clock.now()
-            if now >= self.allocation.granted_at_s:
-                break
-            with self._cond:
-                if self._stop_mode == "cancel":
-                    return False
-            self._clock.sleep(min(0.05, self.allocation.granted_at_s - now))
+    def _worker(self) -> None:
         with self._cond:
+            while self._clock.now() < self.allocation.granted_at_s:
+                if self._stop_mode == "cancel":
+                    return
+                self._clock.wait_until(self._cond, self.allocation.granted_at_s)
             if not self._ready.is_set():
                 self._log.emit(
                     "pilot", self.name, "agent_ready",
@@ -201,19 +199,6 @@ class PilotAgent:
                     cores=self.allocation.total_cores,
                 )
                 self._ready.set()
-        return True
-
-    def _worker(self, index: int) -> None:
-        # Only worker 0 moves the clock toward granted_at_s: a SimulatedClock
-        # adds up every sleeper's duration, so more sleepers would overshoot.
-        if index == 0:
-            if not self._await_ready():
-                return
-        else:
-            while not self._ready.wait(timeout=0.05):
-                with self._cond:
-                    if self._stop_mode == "cancel":
-                        return
         while True:
             with self._cond:
                 while True:
@@ -225,7 +210,7 @@ class PilotAgent:
                             break
                     elif self._stop_mode == "drain":
                         return
-                    self._cond.wait(timeout=0.1)
+                    self._cond.wait()
                 tid, desc = self._queue.popleft()
                 held = min(desc.requires_cores, self._workers)
                 self._free_slots -= held

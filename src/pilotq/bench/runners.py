@@ -47,6 +47,7 @@ from pilotq.model import (
     TaskDescription,
     TaskKind,
     TaskState,
+    validate_pilot_description,
 )
 from pilotq.qsim.circuit import PauliObservable, random_circuit, sel_circuit
 from pilotq.qsim.gradients import adjoint_gradient
@@ -322,6 +323,24 @@ def cmd_circuits(
     if bad:
         raise ValidationError(f"unknown backends: {sorted(bad)}")
 
+    # Every pilot is checked before the first fleet runs, so a bad qpu_sim
+    # setting fails at once instead of after the local sweep.
+    pilots = [
+        PilotDescription(
+            name=f"sim-{backend}",
+            backend_kind=BackendKind(backend),
+            cores_per_node=workers,
+            qpu_qubits=max(sizes) if backend == "qpu_sim" else 0,
+            queue_model=QueueModel(
+                per_task_latency_s=qpu_latency_s if backend == "qpu_sim" else 0.0
+            ),
+            seed=seed,
+        )
+        for backend in backends
+    ]
+    for pilot in pilots:
+        validate_pilot_description(pilot)
+
     # Built before any task runs: building is pure Python, and doing it between
     # submits would hold the GIL against the tasks already running.
     circuits = {
@@ -331,17 +350,9 @@ def cmd_circuits(
     rows = []
     done_total = failed_total = 0
     execute_total = 0.0
-    for backend in backends:
+    for backend, pilot in zip(backends, pilots):
         qpu = backend == "qpu_sim"
         task_shots = shots if qpu else 0
-        pilot = PilotDescription(
-            name=f"sim-{backend}",
-            backend_kind=BackendKind(backend),
-            cores_per_node=workers,
-            qpu_qubits=max(sizes) if qpu else 0,
-            queue_model=QueueModel(per_task_latency_s=qpu_latency_s if qpu else 0.0),
-            seed=seed,
-        )
         descs_by_size = {
             n: [
                 TaskDescription(

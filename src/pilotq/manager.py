@@ -31,6 +31,7 @@ The task store writes every task-lifecycle event into the manager's log.
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -170,9 +171,14 @@ class PilotManager:
             return sorted(self._pilots)
 
     def wait_pilots_ready(self, timeout: float | None = None) -> bool:
+        """True once every live pilot is ready; `timeout` is one wall-time
+        budget shared by all of them."""
         with self._lock:
             agents = list(self._pilots.values())
-        return all(a.wait_ready(timeout) for a in agents)
+        if timeout is None:
+            return all(a.wait_ready() for a in agents)
+        deadline = time.monotonic() + timeout
+        return all(a.wait_ready(max(0.0, deadline - time.monotonic())) for a in agents)
 
     # --- tasks ----------------------------------------------------------------------
 

@@ -11,7 +11,7 @@ the log never lags the records. Lock order: store lock, then log lock.
 from __future__ import annotations
 
 import threading
-import time
+from collections import deque
 
 from pilotq.clock import Clock, WallClock
 from pilotq.errors import DuplicateTaskId, IllegalTransition, UnknownTaskId
@@ -98,23 +98,16 @@ class TaskStore:
     def wait_terminal(self, task_ids, timeout: float | None = None) -> bool:
         """Block until every id is terminal; False on timeout.
 
-        The timeout is wall time (the caller's patience), independent of the
-        domain clock used for record timestamps.
+        Raises UnknownTaskId before waiting. The timeout is wall time (the
+        caller's patience), independent of the domain clock used for record
+        timestamps. Terminal states are final: a terminal id is not rechecked.
         """
-        ids = list(task_ids)
         with self._lock:
-            for tid in ids:
-                self.get(tid)  # raise UnknownTaskId eagerly
-        deadline = None if timeout is None else time.monotonic() + timeout
-        remaining = set(ids)
-        with self._lock:
-            while True:
-                remaining = {tid for tid in remaining if not self._records[tid].terminal}
-                if not remaining:
-                    return True
-                if deadline is not None and time.monotonic() >= deadline:
-                    return False
-                wait_for = 0.02
-                if deadline is not None:
-                    wait_for = min(wait_for, max(0.0, deadline - time.monotonic()))
-                self._terminal_event.wait(timeout=wait_for)
+            pending = deque(tid for tid in task_ids if not self.get(tid).terminal)
+
+            def settled() -> bool:
+                while pending and self._records[pending[0]].terminal:
+                    pending.popleft()
+                return not pending
+
+            return self._terminal_event.wait_for(settled, timeout)

@@ -1,5 +1,6 @@
 """Pilot agent: worker pool behaviour, payload execution, cancellation."""
 
+import sys
 import threading
 import time
 
@@ -16,6 +17,7 @@ from pilotq.model import (
     ClassicalPayload,
     PilotDescription,
     QuantumPayload,
+    QueueModel,
     TaskDescription,
     TaskKind,
     TaskState,
@@ -235,6 +237,62 @@ def test_wide_task_runs_alone():
     assert overlap <= 0  # a 2-core task leaves no slot for the other
 
 
+def test_canceling_a_blocked_wide_head_wakes_the_task_behind_it():
+    started, release = threading.Event(), threading.Event()
+
+    def block():
+        started.set()
+        release.wait()
+
+    agent = make_agent(local_desc("p", cores=2), functions={"block": block})
+    try:
+        submit(
+            agent,
+            TaskDescription(
+                task_id="block", kind=TaskKind.CLASSICAL_FN, payload=ClassicalPayload(function="block")
+            ),
+        )
+        assert started.wait(5.0)
+        # the 2-core head cannot start while the blocker holds one of two slots
+        submit(agent, TaskDescription(task_id="wide", kind=TaskKind.ZERO_COMPUTE, requires_cores=2))
+        narrow = submit(agent, zero_task(1))
+        time.sleep(0.05)  # let the idle worker see the wide head and wait again
+        assert agent.cancel_queued("wide") is True
+        assert agent.store.wait_terminal([narrow], timeout=2.0)
+        assert agent.store.get("block").state is TaskState.RUNNING
+    finally:
+        release.set()
+        agent.shutdown()
+
+
+def test_bursts_of_mixed_widths_and_cancels_strand_no_task():
+    # Workers go idle between bursts, so every burst depends on its wake-ups;
+    # fast thread switching and more workers than cores expose a missed one.
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    agent = make_agent(local_desc("p", cores=4))
+    try:
+        for burst in range(20):
+            ids = [
+                submit(
+                    agent,
+                    TaskDescription(
+                        task_id=f"b{burst}-{i}", kind=TaskKind.ZERO_COMPUTE, requires_cores=1 + i % 4
+                    ),
+                )
+                for i in range(8)
+            ]
+            # a cancel also wakes the workers, so only odd bursts cancel
+            odd = burst % 2 == 1
+            canceled = {tid for tid in ids[::3] if odd and agent.cancel_queued(tid)}
+            rest = [tid for tid in ids if tid not in canceled]
+            assert agent.store.wait_terminal(rest, timeout=5.0)
+            assert {agent.store.get(tid).state for tid in rest} == {TaskState.DONE}
+    finally:
+        sys.setswitchinterval(previous)
+        agent.shutdown()
+
+
 def test_per_task_latency_is_spent_on_the_clock():
     agent = make_agent(local_desc("p", cores=1, latency_s=0.08))
     try:
@@ -372,6 +430,22 @@ def test_startup_delay_gates_readiness():
         assert clock.now() >= 37.0
     finally:
         agent.shutdown()
+
+
+def test_cancel_shutdown_ends_the_wait_for_a_distant_grant():
+    be = ResourceBackend(BackendKind.BATCH_SIM)
+    batch = PilotDescription(
+        name="b",
+        backend_kind=BackendKind.BATCH_SIM,
+        cores_per_node=2,
+        queue_model=QueueModel(base_delay_s=30.0),
+    )
+    agent = PilotAgent(be.provision(batch), backend=be).start()
+    time.sleep(0.05)  # let both workers start waiting for the grant
+    t0 = time.monotonic()
+    agent.shutdown(drain=False)
+    assert time.monotonic() - t0 < 1.0
+    assert not agent.wait_ready(timeout=0)
 
 
 class _CancelAfterSchedule(TaskStore):

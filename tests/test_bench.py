@@ -219,6 +219,21 @@ def test_circuits_rejects_unknown_backend(tmp_path):
         )
 
 
+def test_circuits_rejects_a_bad_qpu_pilot_before_any_task_runs(tmp_path):
+    log = tmp_path / "ev.jsonl"
+    with pytest.raises(ValidationError):
+        cmd_circuits(
+            [2, 4],
+            count=2,
+            qpu_latency_s=float("inf"),
+            out_path=tmp_path / "x.csv",
+            log_path=log,
+            session_path=tmp_path / "s.json",
+        )
+    events = list(read_events(log)) if log.exists() else []
+    assert not [e for e in events if e.event == "task_submitted"]
+
+
 # --- gradients runner -----------------------------------------------------------------
 
 

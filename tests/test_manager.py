@@ -14,6 +14,7 @@ from helpers import (
 )
 from pilotq.agent import task_seed
 from pilotq.backends import ResourceBackend
+from pilotq.clock import SimulatedClock
 from pilotq.errors import (
     DuplicatePilotName,
     DuplicateTaskId,
@@ -25,7 +26,9 @@ from pilotq.manager import PilotManager, sim_qubit_capacity
 from pilotq.model import (
     BackendKind,
     ClassicalPayload,
+    PilotDescription,
     QuantumPayload,
+    QueueModel,
     TaskDescription,
     TaskKind,
     TaskState,
@@ -543,5 +546,72 @@ def test_the_log_never_lags_the_store():
         tid = manager.submit_task(zero_task(0))
         assert manager.wait([tid], timeout=5.0).complete
         assert replay_task_states(log.records)[tid] is TaskState.DONE
+    finally:
+        manager.shutdown()
+
+
+# --- readiness and virtual time ----------------------------------------------------------
+
+
+def batch_desc(name, cores=1, base_delay_s=None):
+    qm = None if base_delay_s is None else QueueModel(base_delay_s=base_delay_s)
+    return PilotDescription(
+        name=name, backend_kind=BackendKind.BATCH_SIM, cores_per_node=cores, queue_model=qm
+    )
+
+
+def test_wait_pilots_ready_shares_one_deadline_across_pilots(manager):
+    manager.create_pilot(batch_desc("early", base_delay_s=0.5))
+    manager.create_pilot(batch_desc("late", base_delay_s=1.3))
+    assert manager.wait_pilots_ready(timeout=1.0) is False
+
+
+def test_every_worker_lands_on_the_grant_on_a_simulated_clock():
+    clock = SimulatedClock()
+    manager = PilotManager(clock=clock)
+    try:
+        manager.create_pilot(batch_desc("b", cores=4))  # the default 37 s batch queue
+        assert manager.wait_pilots_ready(timeout=5.0)
+        assert clock.now() == 37.0
+        ready = [e for e in manager.log.records if e.event == "agent_ready"]
+        assert [(e.entity_id, e.ts_s) for e in ready] == [("b", 37.0)]
+    finally:
+        manager.shutdown()
+
+
+def test_walltime_expiry_fails_work_dispatched_after_it():
+    clock = SimulatedClock()
+    manager = PilotManager(clock=clock, functions={"one": lambda: 1})
+    try:
+        manager.create_pilot(local_desc("p", cores=1, latency_s=6.0, walltime_s=10.0))
+        ids = [
+            manager.submit_task(
+                TaskDescription(
+                    task_id=f"w{i}",
+                    kind=TaskKind.CLASSICAL_FN,
+                    payload=ClassicalPayload(function="one"),
+                )
+            )
+            for i in range(3)
+        ]
+        assert manager.wait(ids, timeout=5.0).complete
+        records = [manager.task(t) for t in ids]
+        assert [r.state for r in records] == [TaskState.DONE, TaskState.DONE, TaskState.FAILED]
+        assert records[2].error.startswith("WalltimeExpired")
+        assert clock.now() == 12.0
+    finally:
+        manager.shutdown()
+
+
+def test_qpu_latency_paces_one_worker_on_a_simulated_clock():
+    clock = SimulatedClock()
+    manager = PilotManager(clock=clock)
+    try:
+        manager.create_pilot(qpu_desc("q", qubits=2, cores=1, latency_s=3.0))
+        ids = [manager.submit_task(quantum_task(f"s{i}", shots=16, seed=i)) for i in range(3)]
+        assert manager.wait(ids, timeout=5.0).complete
+        records = [manager.task(t) for t in ids]
+        assert [r.timestamps.end_s for r in records] == [3.0, 6.0, 9.0]
+        assert all(r.result.exec_s >= 3.0 for r in records)
     finally:
         manager.shutdown()

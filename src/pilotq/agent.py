@@ -15,11 +15,13 @@ work is a queue removal plus a NEW -> CANCELED transition; a task that
 already reached a worker is not cancelable. The store logs the event of
 each transition; the agent itself logs only agent_ready and agent_stopped.
 
-Workers wait out granted_at_s on the agent's condition via `clock.wait_until`
-(the first through logs agent_ready), then wait there for work with no
-timeout: each change that can end a wait notifies. The agent refuses
-dispatch after expires_at_s, and shutdown(drain) either finishes or cancels
-the queue before releasing the allocation.
+Each worker runs one loop with one stop rule: a cancel stop returns at
+once, a drain stop once the queue is empty, before or after the grant.
+Only while work is queued or a `wait_ready` caller waits does a worker
+wait out granted_at_s via `clock.wait_until` (the first through logs
+agent_ready), so an idle pilot moves no virtual time. Then it waits for
+runnable work with no timeout, as each change that can end a wait
+notifies. The agent refuses dispatch after expires_at_s.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from pilotq.model import (
     TaskKind,
     TaskRecord,
     TaskResult,
+    TaskState,
 )
 from pilotq.store import TaskStore
 
@@ -67,9 +70,9 @@ class PilotAgent:
         *,
         clock: Clock | None = None,
         log: EventLog | None = None,
+        backend: ResourceBackend,
         store: TaskStore | None = None,
         functions: dict | None = None,
-        backend: ResourceBackend | None = None,
         on_terminal=None,
     ):
         if workers is None:
@@ -98,6 +101,7 @@ class PilotAgent:
         self._stop_mode: str | None = None
         self._final_metrics: AgentMetrics | None = None
         self._ready = threading.Event()
+        self._ready_wanted = False
         self._threads: list[threading.Thread] = []
 
         self._tasks_done = 0
@@ -117,6 +121,9 @@ class PilotAgent:
         return self._store
 
     def wait_ready(self, timeout: float | None = None) -> bool:
+        with self._cond:
+            self._ready_wanted = True  # idle workers now wait out the grant
+            self._cond.notify_all()
         return self._ready.wait(timeout)
 
     def assign(self, record: TaskRecord) -> None:
@@ -178,8 +185,7 @@ class PilotAgent:
             t.join()
         with self._cond:
             if self._final_metrics is None:
-                if self._backend is not None:
-                    self._backend.release(self.allocation)
+                self._backend.release(self.allocation)
                 self._log.emit("pilot", self.name, "agent_stopped", drain=str(drain).lower())
                 self._final_metrics = self.metrics()
             return self._final_metrics
@@ -187,88 +193,79 @@ class PilotAgent:
     # --- worker machinery --------------------------------------------------------
 
     def _worker(self) -> None:
-        with self._cond:
-            while self._clock.now() < self.allocation.granted_at_s:
-                if self._stop_mode == "cancel":
-                    return
-                self._clock.wait_until(self._cond, self.allocation.granted_at_s)
-            if not self._ready.is_set():
-                self._log.emit(
-                    "pilot", self.name, "agent_ready",
-                    granted_at_s=self.allocation.granted_at_s,
-                    cores=self.allocation.total_cores,
-                )
-                self._ready.set()
+        grant = self.allocation.granted_at_s
         while True:
             with self._cond:
                 while True:
-                    if self._stop_mode == "cancel":
+                    stop = self._stop_mode
+                    if stop == "cancel" or (stop == "drain" and not self._queue):
                         return
+                    if not self._ready.is_set() and (self._queue or self._ready_wanted):
+                        if self._clock.now() < grant:
+                            self._clock.wait_until(self._cond, grant)
+                            continue
+                        self._log.emit(
+                            "pilot", self.name, "agent_ready",
+                            granted_at_s=grant, cores=self.allocation.total_cores,
+                        )
+                        self._ready.set()
                     if self._queue:
                         need = self._queue[0][1].requires_cores
                         if need > self._workers or need <= self._free_slots:
                             break
-                    elif self._stop_mode == "drain":
-                        return
                     self._cond.wait()
                 tid, desc = self._queue.popleft()
                 held = min(desc.requires_cores, self._workers)
                 self._free_slots -= held
                 self._running_count += 1
+            final = None
             try:
-                self._run_one(tid, desc)
+                final = self._run_one(tid, desc)
             finally:
                 with self._cond:
                     self._free_slots += held
                     self._running_count -= 1
+                    if final is not None:
+                        if final.state is TaskState.DONE:
+                            self._tasks_done += 1
+                        else:
+                            self._tasks_failed += 1
                     self._cond.notify_all()
+            if final is not None:
+                self._notify(final)
 
     # --- execution ----------------------------------------------------------------
 
-    def _run_one(self, tid: str, desc: TaskDescription) -> None:
+    def _run_one(self, tid: str, desc: TaskDescription) -> TaskRecord | None:
+        """Run a popped task; returns the record it ended with, None if it was canceled."""
         store = self._store
         if store.try_advance(tid, "schedule", pilot=self.name) is None:
-            return  # canceled between queue pop and schedule
+            return None  # canceled between queue pop and schedule
 
-        fail_fast: str | None = None
+        error: str | None = None
         if desc.requires_cores > self._workers:
-            fail_fast = (
+            error = (
                 f"capacity bug: task needs {desc.requires_cores} cores, "
                 f"agent has {self._workers} worker slots"
             )
         elif desc.requires_gpus > self.allocation.total_gpus:
-            fail_fast = (
+            error = (
                 f"capacity bug: task needs {desc.requires_gpus} gpus, "
                 f"allocation has {self.allocation.total_gpus}"
             )
         elif self._clock.now() > self.allocation.expires_at_s:
-            fail_fast = f"WalltimeExpired: pilot {self.name} walltime ended"
-        if fail_fast is not None:
-            self._finish_fail(tid, fail_fast)
-            return
-
-        if store.try_advance(tid, "start") is None:
-            return
-
-        try:
-            result = self._execute_payload(tid, desc)
-        except Exception as exc:  # a task failure must never take the worker down
-            self._finish_fail(tid, f"{type(exc).__name__}: {exc}")
-            return
-
-        final = store.advance(tid, "complete", result=result)
-        with self._cond:
-            self._tasks_done += 1
-        self._notify(final)
-
-    def _finish_fail(self, tid: str, error: str) -> None:
+            error = f"WalltimeExpired: pilot {self.name} walltime ended"
+        elif store.try_advance(tid, "start") is None:
+            return None
+        else:
+            try:
+                result = self._execute_payload(tid, desc)
+            except Exception as exc:  # a task failure must never take the worker down
+                error = f"{type(exc).__name__}: {exc}"
+            else:
+                return store.advance(tid, "complete", result=result)
         # a cancel may land between schedule and a fail-fast check
-        final = self._store.try_advance(tid, "fail", error=error[:500])
-        if final is None:
-            return
-        with self._cond:
-            self._tasks_failed += 1
-        self._notify(final)
+        return store.try_advance(tid, "fail", error=error[:500])
 
     def _notify(self, record: TaskRecord) -> None:
         if self._on_terminal is not None:
@@ -290,8 +287,6 @@ class PilotAgent:
 
         qp: QuantumPayload = desc.payload
         if self.allocation.backend_kind is BackendKind.QPU_SIM:
-            if self._backend is None:
-                raise ValidationError("qpu_sim agent has no backend to execute on")
             return self._backend.qpu_execute(
                 qp.circuit, qp.shots, self.allocation, rng_seed=task_seed(tid)
             )

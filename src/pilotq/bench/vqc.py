@@ -29,7 +29,7 @@ import numpy as np
 
 from pilotq.codec import JsonRecord
 from pilotq.errors import PilotQError, ValidationError
-from pilotq.model import ClassicalPayload, TaskDescription, TaskKind, TaskState
+from pilotq.model import ClassicalPayload, TaskDescription, TaskKind, TaskState, validate_seed
 from pilotq.qsim.circuit import Circuit, Gate, sel_circuit
 from pilotq.qsim.gradients import adjoint_sweep
 from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES, apply_gate, check_memory_cap
@@ -63,6 +63,7 @@ class VqcConfig(JsonRecord):
             raise ValidationError("momentum must be finite")
         if self.optimizer not in ("gd", "momentum"):
             raise ValidationError("optimizer must be 'gd' or 'momentum'")
+        validate_seed(self.seed)
 
     @property
     def num_params(self) -> int:

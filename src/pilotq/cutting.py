@@ -53,7 +53,7 @@ from pilotq.errors import (
 )
 from pilotq.model import QuantumPayload, TaskDescription, TaskKind, TaskState
 from pilotq.qsim.circuit import Circuit, Gate, PauliObservable, efficient_su2
-from pilotq.qsim.simulate import expectation, run_circuit
+from pilotq.qsim.simulate import counts_probabilities, expectation, run_circuit
 
 PREP_LABELS = ("0", "1", "+", "-", "+i", "-i")
 MEASURE_BASES = ("Z", "X", "Y")
@@ -421,19 +421,6 @@ def _signed_sum_probabilities(probs: np.ndarray, mask: int) -> float:
     return float(np.sum(probs * (1.0 - 2.0 * parity)))
 
 
-def _signed_sum_counts(counts: Mapping[str, int], mask: int) -> float:
-    total = 0
-    acc = 0
-    for bits, cnt in counts.items():
-        index = sum(1 << q for q, ch in enumerate(bits) if ch == "1")
-        sign = -1 if bin(index & mask).count("1") & 1 else 1
-        acc += sign * cnt
-        total += cnt
-    if total == 0:
-        raise ValidationError("empty counts")
-    return acc / total
-
-
 def fragment_values(
     sub: Subexperiment,
     *,
@@ -443,12 +430,13 @@ def fragment_values(
     """Evaluate every value key a subexperiment's output provides."""
     if (probabilities is None) == (counts is None):
         raise ValidationError("pass exactly one of probabilities or counts")
-    if probabilities is not None:
+    if counts is not None:
+        probs = counts_probabilities(counts, sub.circuit.num_qubits)
+    else:
         probs = np.asarray(list(probabilities), dtype=float)
         if probs.size != 2**sub.circuit.num_qubits:
             raise ValidationError("probability vector length does not match the fragment")
-        return {key: _signed_sum_probabilities(probs, mask) for key, mask in sub.value_keys}
-    return {key: _signed_sum_counts(counts, mask) for key, mask in sub.value_keys}
+    return {key: _signed_sum_probabilities(probs, mask) for key, mask in sub.value_keys}
 
 
 def reconstruct(expansion: Reconstruction, values: Mapping[str, float]) -> float:

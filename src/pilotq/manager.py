@@ -340,7 +340,7 @@ class PilotManager:
             with self._lock:
                 for agent in self._pilots.values():
                     for tid, _ in agent.take_back_queued():
-                        self.cancel(tid)
+                        self._store.try_advance(tid, "cancel", reason="manager shutdown")
         for name in list(self.pilot_names()):
             try:
                 self.remove_pilot(name, drain=drain)
@@ -348,5 +348,6 @@ class PilotManager:
                 pass
         # no pilot is left to run what is pending, e.g. a retry handed back mid-shutdown
         with self._lock:
-            for tid in list(self._pending):
-                self.cancel(tid)
+            for tid in self._pending:
+                self._store.try_advance(tid, "cancel", reason="manager shutdown")
+            self._pending.clear()

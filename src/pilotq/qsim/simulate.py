@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import Mapping
 
 import numpy as np
 
@@ -193,3 +194,18 @@ def sample(state: StateVector, shots: int, seed: int) -> dict[str, int]:
 def bitstring(index: int, num_qubits: int) -> str:
     """Little-endian rendering: character q is the state of qubit q."""
     return "".join(str((index >> q) & 1) for q in range(num_qubits))
+
+
+def counts_probabilities(counts: Mapping[str, int], num_qubits: int) -> np.ndarray:
+    """Inverse of `sample`: counts keyed by `bitstring` as a probability vector."""
+    freq = np.zeros(2**num_qubits)
+    for bits, n in counts.items():
+        if len(bits) != num_qubits or not set(bits) <= {"0", "1"}:
+            raise ValidationError(f"count key {bits!r} is not a {num_qubits}-bit string")
+        if n < 0:
+            raise ValidationError(f"count {n} for {bits!r} is negative")
+        freq[int(bits[::-1], 2)] += n
+    total = freq.sum()
+    if total == 0:
+        raise ValidationError("counts hold zero shots")
+    return freq / total

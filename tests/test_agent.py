@@ -290,7 +290,10 @@ def test_bursts_of_mixed_widths_and_cancels_strand_no_task():
             assert {agent.store.get(tid).state for tid in rest} == {TaskState.DONE}
     finally:
         sys.setswitchinterval(previous)
-        agent.shutdown()
+        metrics = agent.shutdown()
+    # the counters and slots move in the same locked block as the task's end
+    done = [r for r in agent.store.snapshot().values() if r.state is TaskState.DONE]
+    assert (metrics.tasks_done, metrics.tasks_failed, metrics.busy_cores) == (len(done), 0, 0)
 
 
 def test_per_task_latency_is_spent_on_the_clock():
@@ -441,11 +444,38 @@ def test_cancel_shutdown_ends_the_wait_for_a_distant_grant():
         queue_model=QueueModel(base_delay_s=30.0),
     )
     agent = PilotAgent(be.provision(batch), backend=be).start()
-    time.sleep(0.05)  # let both workers start waiting for the grant
+    assert not agent.wait_ready(timeout=0.05)  # both workers now wait for the grant
     t0 = time.monotonic()
     agent.shutdown(drain=False)
     assert time.monotonic() - t0 < 1.0
     assert not agent.wait_ready(timeout=0)
+
+
+def test_drain_shutdown_of_an_idle_agent_skips_the_grant():
+    clock = SimulatedClock()
+    log = EventLog(clock=clock)
+    be = ResourceBackend(BackendKind.BATCH_SIM, clock=clock)
+    batch = PilotDescription(name="b", backend_kind=BackendKind.BATCH_SIM, cores_per_node=2)
+    agent = PilotAgent(be.provision(batch), clock=clock, log=log, backend=be).start()
+    agent.shutdown(drain=True)
+    assert clock.now() == 0.0
+    assert [e.event for e in log.records] == ["agent_stopped"]
+    assert not agent.wait_ready(timeout=0)
+
+
+def test_drain_shutdown_ends_the_wait_for_a_distant_grant():
+    be = ResourceBackend(BackendKind.BATCH_SIM)
+    batch = PilotDescription(
+        name="b",
+        backend_kind=BackendKind.BATCH_SIM,
+        cores_per_node=2,
+        queue_model=QueueModel(base_delay_s=30.0),
+    )
+    agent = PilotAgent(be.provision(batch), backend=be).start()
+    assert not agent.wait_ready(timeout=0.05)  # both workers now wait for the grant
+    t0 = time.monotonic()
+    agent.shutdown(drain=True)
+    assert time.monotonic() - t0 < 1.0
 
 
 class _CancelAfterSchedule(TaskStore):

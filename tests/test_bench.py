@@ -364,6 +364,9 @@ def test_config_validation_and_param_count():
         dict(momentum=float("-inf")),
         dict(softmax_scale=float("nan")),
         dict(softmax_scale=float("inf")),
+        # the pilot and `pq` seed rule: an unsigned 64-bit integer
+        dict(seed=-1),
+        dict(seed=2**64),
     ):
         with pytest.raises(ValidationError):
             VqcConfig(**bad)

@@ -261,6 +261,21 @@ def test_fragment_values_argument_contract():
         fragment_values(subs[0], probabilities=[0.5, 0.5])  # wrong length
 
 
+def test_fragment_values_reject_counts_of_another_width_or_alphabet():
+    circ = clustered_circuit([2, 2], reps=1, seed=0)
+    plan = find_cuts(circ, PauliObservable.single(4, {0: "Z"}), max_width=3)
+    sub = generate_subexperiments(plan)[0][0]
+    w = sub.circuit.num_qubits
+    for bad in (
+        {"0" * (w - 1): 5, "1" * (w - 1): 3},  # one wire short
+        {"2" + "x" * (w - 1): 1},  # right width, wrong alphabet
+        {"0" * w: -1, "1" * w: 2},  # a negative count
+        {"0" * w: 0},  # zero shots
+    ):
+        with pytest.raises(ValidationError):
+            fragment_values(sub, counts=bad)
+
+
 def test_reconstruct_flags_missing_values():
     circ = clustered_circuit([2, 2], reps=1, seed=0)
     plan = find_cuts(circ, PauliObservable.single(4, {0: "Z"}), max_width=3)

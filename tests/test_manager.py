@@ -489,6 +489,8 @@ def test_cancel_shutdown_cancels_every_queue(manager):
     states = {tid: rec.state for tid, rec in manager.store.snapshot().items()}
     assert sorted(s.value for s in states.values()) == ["CANCELED"] * 9 + ["DONE"] * 3
     assert replay_task_states(manager.log.records) == states
+    reasons = [e.attrs["reason"] for e in manager.log.records if e.event == "task_canceled"]
+    assert reasons == ["manager shutdown"] * 9
 
 
 def test_shutdown_cancels_a_retry_that_no_pilot_is_left_to_run(manager):
@@ -577,6 +579,28 @@ def test_every_worker_lands_on_the_grant_on_a_simulated_clock():
         assert [(e.entity_id, e.ts_s) for e in ready] == [("b", 37.0)]
     finally:
         manager.shutdown()
+
+
+def test_a_drain_shutdown_of_an_idle_pilot_skips_its_grant():
+    clock = SimulatedClock()
+    manager = PilotManager(clock=clock)
+    manager.create_pilot(batch_desc("b", cores=2))  # the default 37 s batch queue
+    manager.shutdown()
+    assert clock.now() == 0.0
+    events = [e.event for e in manager.log.records]
+    assert "agent_stopped" in events and "pilot_removed" in events
+    assert "agent_ready" not in events
+
+
+def test_a_drain_stop_before_the_grant_still_runs_queued_work():
+    clock = SimulatedClock()
+    manager = PilotManager(clock=clock)
+    manager.create_pilot(batch_desc("b", cores=2))
+    ids = [manager.submit_task(zero_task(i)) for i in range(6)]
+    manager.shutdown()
+    assert all(manager.task(t).state is TaskState.DONE for t in ids)
+    ready = [e for e in manager.log.records if e.event == "agent_ready"]
+    assert [(e.entity_id, e.ts_s) for e in ready] == [("b", 37.0)]
 
 
 def test_walltime_expiry_fails_work_dispatched_after_it():

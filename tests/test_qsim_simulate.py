@@ -29,6 +29,7 @@ from pilotq.qsim.simulate import (
     apply_gate,
     bitstring,
     check_memory_cap,
+    counts_probabilities,
     expectation,
     gate_matrix,
     memory_bytes,
@@ -183,6 +184,20 @@ def test_deterministic_state_samples_exactly_one_bitstring():
     circ = Circuit(3, (Gate("X", (1,)),))  # |010> in qubit order 0,1,2
     counts = sample(run_circuit(circ), 50, seed=1)
     assert counts == {"010": 50}
+
+
+def test_counts_decode_little_endian_and_reject_malformed_counts():
+    probs = counts_probabilities({"10": 3, "01": 1}, 2)
+    assert probs.tolist() == [0.0, 0.75, 0.25, 0.0]
+    state = run_circuit(random_circuit(3, 4, seed=2))
+    counts = sample(state, 1000, seed=5)
+    want = np.zeros(8)
+    for bits, n in counts.items():
+        want[int(bits[::-1], 2)] = n / 1000
+    assert np.array_equal(counts_probabilities(counts, 3), want)
+    for bad in ({"0": 5, "1": 3}, {"2x": 1}, {"000": 1}, {"00": -1, "11": 2}, {"00": 0}, {}):
+        with pytest.raises(ValidationError):
+            counts_probabilities(bad, 2)
 
 
 # --- memory caps -----------------------------------------------------------------------

@@ -4,8 +4,10 @@ A fixed pool of worker threads pulls tasks off the agent's FIFO queue.
 Admission is core-slot based: the pool has `workers` slots (default: the
 allocation's total cores) and a task occupies requires_cores of them, so
 the sum of requires_cores over running tasks never exceeds the worker
-count. The queue is strictly FIFO; a wide task at the head blocks until
-enough slots free up, which preserves dispatch order.
+count. `assign` rejects a task that could never fit: one wider than the
+slots or needing more GPUs than the allocation has. The queue is strictly
+FIFO; a wide task at the head blocks until enough slots free up, which
+preserves dispatch order.
 
 Queued tasks stay NEW; the worker that pulls one drives the
 schedule -> start -> complete/fail transitions through the shared task
@@ -85,7 +87,7 @@ class PilotAgent:
             )
         self.allocation = allocation
         self.name = allocation.pilot_name
-        self._workers = workers
+        self.workers = workers
         self._clock = clock or WallClock()
         self._log = log or EventLog(clock=self._clock)
         self._store = store or TaskStore(self._clock, self._log)
@@ -110,7 +112,7 @@ class PilotAgent:
     # --- lifecycle -------------------------------------------------------------
 
     def start(self) -> "PilotAgent":
-        for i in range(self._workers):
+        for i in range(self.workers):
             t = threading.Thread(target=self._worker, daemon=True, name=f"{self.name}-w{i}")
             t.start()
             self._threads.append(t)
@@ -127,11 +129,19 @@ class PilotAgent:
         return self._ready.wait(timeout)
 
     def assign(self, record: TaskRecord) -> None:
-        """Queue a NEW task for execution on this pilot."""
+        """Queue a NEW task for execution on this pilot; ValidationError if it
+        needs more cores than the worker slots or more GPUs than the allocation."""
+        desc = record.description
+        if desc.requires_cores > self.workers or desc.requires_gpus > self.allocation.total_gpus:
+            raise ValidationError(
+                f"task {record.task_id} needs {desc.requires_cores} cores and "
+                f"{desc.requires_gpus} gpus; pilot {self.name} has {self.workers} worker "
+                f"slots and {self.allocation.total_gpus} gpus"
+            )
         with self._cond:
             if self._stop_mode is not None:
                 raise AgentStopped(f"agent {self.name} is stopped")
-            self._queue.append((record.task_id, record.description))
+            self._queue.append((record.task_id, desc))
             self._cond.notify_all()
 
     def cancel_queued(self, task_id: str) -> bool:
@@ -161,7 +171,7 @@ class PilotAgent:
             return AgentMetrics(
                 tasks_done=self._tasks_done,
                 tasks_failed=self._tasks_failed,
-                busy_cores=self._workers - self._free_slots,
+                busy_cores=self.workers - self._free_slots,
                 queue_depth=len(self._queue),
             )
 
@@ -209,21 +219,18 @@ class PilotAgent:
                             granted_at_s=grant, cores=self.allocation.total_cores,
                         )
                         self._ready.set()
-                    if self._queue:
-                        need = self._queue[0][1].requires_cores
-                        if need > self._workers or need <= self._free_slots:
-                            break
+                    if self._queue and self._queue[0][1].requires_cores <= self._free_slots:
+                        break
                     self._cond.wait()
                 tid, desc = self._queue.popleft()
-                held = min(desc.requires_cores, self._workers)
-                self._free_slots -= held
+                self._free_slots -= desc.requires_cores
                 self._running_count += 1
             final = None
             try:
                 final = self._run_one(tid, desc)
             finally:
                 with self._cond:
-                    self._free_slots += held
+                    self._free_slots += desc.requires_cores
                     self._running_count -= 1
                     if final is not None:
                         if final.state is TaskState.DONE:
@@ -243,17 +250,7 @@ class PilotAgent:
             return None  # canceled between queue pop and schedule
 
         error: str | None = None
-        if desc.requires_cores > self._workers:
-            error = (
-                f"capacity bug: task needs {desc.requires_cores} cores, "
-                f"agent has {self._workers} worker slots"
-            )
-        elif desc.requires_gpus > self.allocation.total_gpus:
-            error = (
-                f"capacity bug: task needs {desc.requires_gpus} gpus, "
-                f"allocation has {self.allocation.total_gpus}"
-            )
-        elif self._clock.now() > self.allocation.expires_at_s:
+        if self._clock.now() > self.allocation.expires_at_s:
             error = f"WalltimeExpired: pilot {self.name} walltime ended"
         elif store.try_advance(tid, "start") is None:
             return None
@@ -264,7 +261,7 @@ class PilotAgent:
                 error = f"{type(exc).__name__}: {exc}"
             else:
                 return store.advance(tid, "complete", result=result)
-        # a cancel may land between schedule and a fail-fast check
+        # a cancel may land between schedule and the walltime check
         return store.try_advance(tid, "fail", error=error[:500])
 
     def _notify(self, record: TaskRecord) -> None:

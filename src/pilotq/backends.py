@@ -31,13 +31,7 @@ import numpy as np
 from pilotq.clock import Clock, WallClock
 from pilotq.codec import JsonRecord
 from pilotq.errors import DoubleRelease, QubitCapacityExceeded, ValidationError
-from pilotq.model import (
-    BackendKind,
-    PilotDescription,
-    QueueModel,
-    TaskResult,
-    validate_pilot_description,
-)
+from pilotq.model import BackendKind, PilotDescription, QueueModel, TaskResult
 from pilotq.qsim.circuit import Circuit, PauliObservable
 from pilotq.qsim.simulate import expectation, probabilities, run_circuit, sample
 
@@ -109,7 +103,6 @@ class ResourceBackend:
         self._live: dict[int, PilotAllocation] = {}
 
     def provision(self, desc: PilotDescription) -> PilotAllocation:
-        validate_pilot_description(desc)
         if desc.backend_kind is not self.kind:
             raise ValidationError(f"{self.kind.value} backend got a {desc.backend_kind.value} description")
         granted_at = self.clock.now() + startup_delay(desc)

@@ -47,7 +47,6 @@ from pilotq.model import (
     TaskDescription,
     TaskKind,
     TaskState,
-    validate_pilot_description,
 )
 from pilotq.qsim.circuit import PauliObservable, random_circuit, sel_circuit
 from pilotq.qsim.gradients import adjoint_gradient
@@ -128,8 +127,14 @@ def load_session(session_path=SESSION_FILE) -> dict:
     p = Path(session_path)
     if not p.is_file():
         raise NoActiveSession(f"no session file at {p}; run a benchmark first")
-    with open(p, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(p, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise NoActiveSession(f"cannot read session file {p}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise NoActiveSession(f"session file {p} must hold a JSON object")
+    return payload
 
 
 # --- the run skeleton -----------------------------------------------------------
@@ -223,8 +228,8 @@ def cmd_throughput(
     submit-to-done window that throughput is computed from.
     """
     counts = _positive_ints(tasks_list, "task count")
-    if pilots < 1 or workers < 1:
-        raise ValidationError("pilots and workers must be >= 1")
+    if pilots < 1:
+        raise ValidationError("pilots must be >= 1")
 
     rows = []
     startup_total = 0.0
@@ -323,8 +328,6 @@ def cmd_circuits(
     if bad:
         raise ValidationError(f"unknown backends: {sorted(bad)}")
 
-    # Every pilot is checked before the first fleet runs, so a bad qpu_sim
-    # setting fails at once instead of after the local sweep.
     pilots = [
         PilotDescription(
             name=f"sim-{backend}",
@@ -338,8 +341,6 @@ def cmd_circuits(
         )
         for backend in backends
     ]
-    for pilot in pilots:
-        validate_pilot_description(pilot)
 
     # Built before any task runs: building is pure Python, and doing it between
     # submits would hold the GIL against the tasks already running.

@@ -13,9 +13,11 @@ for deterministic batch placement in tests. Completions run no pass: a task
 stays pending only while no live pilot fits it, and only `create_pilot`
 adds a live pilot.
 
-Placement reads each pilot's granted `PilotAllocation`, the one record of
-its shape. Feasibility is decided against total capacity: requires_cores
-and requires_gpus against the allocation totals, affinity against the pilot
+Placement reads each pilot's agent: its granted `PilotAllocation`, the one
+record of its shape, and its worker slots. Feasibility is decided against
+total capacity: requires_cores against the worker slots (fewer than the
+allocation's cores when the pilot was created with fewer workers),
+requires_gpus against the allocation's GPUs, affinity against the pilot
 name, and requires_qubits against the pilot's qubit capacity. A qpu_sim
 pilot's capacity is its qpu_qubits; classical pilots simulate circuits
 in-agent under the simulator's default memory cap, so their capacity is
@@ -26,6 +28,8 @@ a task that fits a temporarily removed pilot waits instead of failing,
 and with no pilots configured at all every task waits for one to appear.
 `shutdown` cancels whatever is still pending once every pilot is gone.
 The task store writes every task-lifecycle event into the manager's log.
+Descriptions validate themselves when built, so the manager runs no check
+of its own on what it is given.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from pilotq.agent import AgentMetrics, PilotAgent
-from pilotq.backends import PilotAllocation, make_backends
+from pilotq.backends import make_backends
 from pilotq.clock import Clock, WallClock
 from pilotq.errors import DuplicatePilotName, IllegalTransition, UnknownPilot
 from pilotq.events import EventLog
@@ -48,8 +52,6 @@ from pilotq.model import (
     TaskRecord,
     TaskState,
     new_record,
-    validate_pilot_description,
-    validate_task_description,
 )
 from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES, memory_bytes
 from pilotq.store import TaskStore
@@ -93,7 +95,7 @@ class PilotManager:
         self._store = TaskStore(self._clock, self._log)
         self._lock = threading.RLock()
         self._pilots: dict[str, PilotAgent] = {}
-        self._configured: dict[str, PilotAllocation] = {}
+        self._configured: dict[str, PilotAgent] = {}
         self._pending: deque[str] = deque()
         self._started_at = self._clock.now()
 
@@ -113,7 +115,6 @@ class PilotManager:
     # --- pilots -------------------------------------------------------------------
 
     def create_pilot(self, desc: PilotDescription, workers: int | None = None) -> str:
-        validate_pilot_description(desc)
         with self._lock:
             if desc.name in self._pilots:
                 raise DuplicatePilotName(desc.name)
@@ -130,7 +131,7 @@ class PilotManager:
                 on_terminal=self._on_agent_terminal,
             ).start()
             self._pilots[desc.name] = agent
-            self._configured[desc.name] = alloc
+            self._configured[desc.name] = agent
             self._log.emit(
                 "pilot", desc.name, "pilot_created",
                 backend=desc.backend_kind.value,
@@ -183,7 +184,6 @@ class PilotManager:
     # --- tasks ----------------------------------------------------------------------
 
     def submit_task(self, desc: TaskDescription) -> str:
-        validate_task_description(desc)
         with self._lock:
             rec = new_record(desc, self._clock.now())
             self._store.add(rec)  # raises DuplicateTaskId
@@ -227,22 +227,18 @@ class PilotManager:
 
     # --- scheduling core --------------------------------------------------------------
 
-    def _fits(self, task: TaskDescription, alloc: PilotAllocation) -> bool:
+    def _fits(self, task: TaskDescription, agent: PilotAgent) -> bool:
+        alloc = agent.allocation
         if task.target is not None and task.target != alloc.pilot_name:
             return False
-        if task.requires_cores > alloc.total_cores:
+        if task.requires_cores > agent.workers:
             return False
         if task.requires_gpus > alloc.total_gpus:
             return False
         qpu = alloc.backend_kind is BackendKind.QPU_SIM
         if task.requires_qubits > (alloc.qpu_qubits if qpu else self._sim_qubits):
             return False
-        if (
-            qpu
-            and task.kind is TaskKind.QUANTUM_CIRCUIT
-            and task.payload is not None
-            and task.payload.shots == 0
-        ):
+        if qpu and task.kind is TaskKind.QUANTUM_CIRCUIT and task.payload.shots == 0:
             # QPUs sample; exact expectations and probability vectors need a
             # classical pilot.
             return False
@@ -251,11 +247,7 @@ class PilotManager:
     def feasible_pilots(self, task: TaskDescription) -> list[str]:
         """Live pilots that could run this task, sorted by name."""
         with self._lock:
-            return sorted(
-                name
-                for name in self._pilots
-                if self._fits(task, self._configured[name])
-            )
+            return sorted(name for name, agent in self._pilots.items() if self._fits(task, agent))
 
     def _schedule_pass(self) -> list[tuple[str, str]]:
         assignments: list[tuple[str, str]] = []
@@ -267,7 +259,7 @@ class PilotManager:
             if rec.state is not TaskState.NEW:
                 continue
             task = rec.description
-            candidates = [name for name in loads if self._fits(task, self._configured[name])]
+            candidates = [name for name in loads if self._fits(task, self._pilots[name])]
             if candidates:
                 name = min(candidates, key=lambda nm: (loads[nm], nm))
                 loads[name] += 1
@@ -282,7 +274,7 @@ class PilotManager:
                 self._pilots[name].assign(rec)
                 assignments.append((tid, name))
             elif self._configured and not any(
-                self._fits(task, alloc) for alloc in self._configured.values()
+                self._fits(task, agent) for agent in self._configured.values()
             ):
                 self._store.advance(
                     tid, "fail",

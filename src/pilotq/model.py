@@ -16,6 +16,12 @@ IllegalTransition.
 Every record is a `JsonRecord`: its JSON form comes from the generic codec
 in `pilotq.codec`, driven by the field annotations below, so a field added
 here is serialised without further code.
+
+Every description validates itself in `__post_init__`, and each rule lives
+on the record that owns it: a queue model's delays, a pilot's shape, a
+payload's own fields, and a task's requirements and its payload's type.
+Decoding from JSON constructs the record, so it validates too, and no
+caller has to remember a separate check.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -63,6 +70,11 @@ class QueueModel(JsonRecord):
     jitter_s: float = 0.0
     per_task_latency_s: float = 0.0
 
+    def __post_init__(self):
+        delays = (self.base_delay_s, self.jitter_s, self.per_task_latency_s)
+        if not all(0 <= d < math.inf for d in delays):  # also false for NaN
+            raise ValidationError("queue model delays must be finite and >= 0")
+
 
 # Default startup-queue behaviour per backend; batch submission historically
 # costs tens of seconds before the pilot is live.
@@ -89,6 +101,22 @@ class PilotDescription(JsonRecord):
         object.__setattr__(self, "backend_kind", BackendKind(self.backend_kind))
         if self.queue_model is None:
             object.__setattr__(self, "queue_model", DEFAULT_QUEUE_MODELS[self.backend_kind])
+        if not self.name or not self.name.strip():
+            raise ValidationError("pilot name must be non-empty")
+        if self.nodes < 1 or self.cores_per_node < 1:
+            raise ValidationError("nodes and cores_per_node must be >= 1")
+        if self.gpus_per_node < 0 or self.qpu_qubits < 0:
+            raise ValidationError("gpus_per_node and qpu_qubits must be >= 0")
+        if not 0 < self.walltime_s < math.inf:  # also false for NaN
+            raise ValidationError("walltime_s must be finite and > 0")
+        validate_seed(self.seed)
+        if self.backend_kind is BackendKind.QPU_SIM:
+            if self.qpu_qubits < 1:
+                raise ValidationError("qpu_sim pilots must set qpu_qubits >= 1")
+            if self.gpus_per_node != 0:
+                raise ValidationError("qpu_sim pilots cannot have GPUs")
+        elif self.qpu_qubits != 0:
+            raise ValidationError("qpu_qubits > 0 is only valid for qpu_sim pilots")
 
     @property
     def total_cores(self) -> int:
@@ -100,34 +128,11 @@ class PilotDescription(JsonRecord):
 
 
 def validate_seed(seed) -> int:
-    """`seed` as an int; ValidationError unless 0 <= seed < 2**64."""
-    if not (0 <= int(seed) < 2**64):
-        raise ValidationError("seed must fit an unsigned 64-bit integer")
+    """`seed` as an int; ValidationError unless it is an integer (not a
+    bool) with 0 <= seed < 2**64."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be an integer with 0 <= seed < 2**64, got {seed!r}")
     return int(seed)
-
-
-def validate_pilot_description(desc: PilotDescription) -> None:
-    if not isinstance(desc, PilotDescription):
-        raise ValidationError("expected a PilotDescription")
-    if not desc.name or not desc.name.strip():
-        raise ValidationError("pilot name must be non-empty")
-    if desc.nodes < 1 or desc.cores_per_node < 1:
-        raise ValidationError("nodes and cores_per_node must be >= 1")
-    if desc.gpus_per_node < 0 or desc.qpu_qubits < 0:
-        raise ValidationError("gpus_per_node and qpu_qubits must be >= 0")
-    if not 0 < desc.walltime_s < math.inf:  # also false for NaN
-        raise ValidationError("walltime_s must be finite and > 0")
-    validate_seed(desc.seed)
-    qm = desc.queue_model
-    if not all(0 <= d < math.inf for d in (qm.base_delay_s, qm.jitter_s, qm.per_task_latency_s)):
-        raise ValidationError("queue model delays must be finite and >= 0")
-    if desc.backend_kind is BackendKind.QPU_SIM:
-        if desc.qpu_qubits < 1:
-            raise ValidationError("qpu_sim pilots must set qpu_qubits >= 1")
-        if desc.gpus_per_node != 0:
-            raise ValidationError("qpu_sim pilots cannot have GPUs")
-    elif desc.qpu_qubits != 0:
-        raise ValidationError("qpu_qubits > 0 is only valid for qpu_sim pilots")
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,8 @@ class ClassicalPayload(JsonRecord):
     kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.function:
+            raise ValidationError("a classical payload needs a function name")
         object.__setattr__(self, "args", tuple(self.args))
         object.__setattr__(self, "kwargs", dict(self.kwargs))
 
@@ -156,6 +163,15 @@ class QuantumPayload(JsonRecord):
     shots: int = 0
     observable: PauliObservable | None = None
 
+    def __post_init__(self):
+        if self.shots < 0:
+            raise ValidationError("shots must be >= 0")
+        if self.observable is not None:
+            if self.shots != 0:
+                raise ValidationError("an observable implies exact mode: shots must be 0")
+            if self.observable.num_qubits != self.circuit.num_qubits:
+                raise ValidationError("observable width must match the circuit")
+
 
 @dataclass(frozen=True)
 class TaskDescription(JsonRecord):
@@ -170,42 +186,32 @@ class TaskDescription(JsonRecord):
 
     def __post_init__(self):
         object.__setattr__(self, "kind", TaskKind(self.kind))
+        if not self.task_id or not self.task_id.strip():
+            raise ValidationError("task_id must be non-empty")
+        if self.requires_cores < 1:
+            raise ValidationError("requires_cores must be >= 1")
+        if self.requires_gpus < 0 or self.max_retries < 0:
+            raise ValidationError("requires_gpus and max_retries must be >= 0")
+        payload_type = _PAYLOAD_TYPES[self.kind]
+        if not isinstance(self.payload, payload_type):
+            raise ValidationError(
+                f"a {self.kind.value} payload must be {payload_type.__name__}, "
+                f"not {type(self.payload).__name__}"
+            )
+        # only a circuit needs qubits, and exactly as many as it is wide
+        qubits = self.payload.circuit.num_qubits if self.kind is TaskKind.QUANTUM_CIRCUIT else 0
+        if self.requires_qubits != qubits:
+            raise ValidationError(
+                f"requires_qubits must be {qubits} for this {self.kind.value} task"
+            )
 
 
-def validate_task_description(desc: TaskDescription) -> None:
-    if not isinstance(desc, TaskDescription):
-        raise ValidationError("expected a TaskDescription")
-    if not desc.task_id or not desc.task_id.strip():
-        raise ValidationError("task_id must be non-empty")
-    if desc.requires_cores < 1:
-        raise ValidationError("requires_cores must be >= 1")
-    if desc.requires_gpus < 0 or desc.requires_qubits < 0:
-        raise ValidationError("requires_gpus and requires_qubits must be >= 0")
-    if desc.max_retries < 0:
-        raise ValidationError("max_retries must be >= 0")
-    if desc.kind is TaskKind.ZERO_COMPUTE:
-        if desc.payload is not None:
-            raise ValidationError("zero_compute tasks take no payload")
-        if desc.requires_qubits != 0:
-            raise ValidationError("zero_compute tasks cannot require qubits")
-    elif desc.kind is TaskKind.CLASSICAL_FN:
-        if not isinstance(desc.payload, ClassicalPayload) or not desc.payload.function:
-            raise ValidationError("classical_fn tasks need a ClassicalPayload with a function name")
-        if desc.requires_qubits != 0:
-            raise ValidationError("classical_fn tasks cannot require qubits")
-    elif desc.kind is TaskKind.QUANTUM_CIRCUIT:
-        p = desc.payload
-        if not isinstance(p, QuantumPayload):
-            raise ValidationError("quantum_circuit tasks need a QuantumPayload")
-        if p.shots < 0:
-            raise ValidationError("shots must be >= 0")
-        if p.observable is not None:
-            if p.shots != 0:
-                raise ValidationError("an observable implies exact mode: shots must be 0")
-            if p.observable.num_qubits != p.circuit.num_qubits:
-                raise ValidationError("observable width must match the circuit")
-        if desc.requires_qubits != p.circuit.num_qubits:
-            raise ValidationError("requires_qubits must equal the payload circuit's qubit count")
+# The payload each task kind carries; a zero_compute task carries none.
+_PAYLOAD_TYPES = {
+    TaskKind.ZERO_COMPUTE: type(None),
+    TaskKind.CLASSICAL_FN: ClassicalPayload,
+    TaskKind.QUANTUM_CIRCUIT: QuantumPayload,
+}
 
 
 @dataclass(frozen=True)

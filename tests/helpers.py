@@ -154,7 +154,7 @@ _TERMINAL_EVENTS = {"task_done", "task_failed", "task_canceled"}
 
 # Legal predecessors of each task event. "pending" covers submitted/retried/
 # requeued tasks; task_failed can strike a pending task (placement failure),
-# an assigned one (pre-start capacity check), or a running one.
+# an assigned one (pre-start walltime check), or a running one.
 _TASK_EVENT_FROM = {
     "task_submitted": {None},
     "task_assigned": {"pending"},

@@ -10,7 +10,7 @@ from helpers import local_desc, qpu_desc, zero_task
 from pilotq.agent import PilotAgent, start_agent, task_seed
 from pilotq.backends import ResourceBackend
 from pilotq.clock import SimulatedClock
-from pilotq.errors import AgentStopped, WorkerOversubscription
+from pilotq.errors import AgentStopped, ValidationError, WorkerOversubscription
 from pilotq.events import EventLog
 from pilotq.model import (
     BackendKind,
@@ -493,17 +493,30 @@ class _CancelAfterSchedule(TaskStore):
 
 
 def test_a_cancel_before_a_fail_fast_check_keeps_the_worker():
-    be = ResourceBackend(BackendKind.LOCAL)
-    desc = local_desc("p", cores=2)
-    agent = start_agent(be.provision(desc), 1, store=_CancelAfterSchedule("wide"), backend=be)
+    clock = SimulatedClock(start=0.0)
+    be = ResourceBackend(BackendKind.LOCAL, clock=clock)
+    alloc = be.provision(local_desc("p", cores=1, walltime_s=10.0))
+    clock.sleep(11.0)  # past expires_at_s: the agent fails each task fast after scheduling
+    agent = start_agent(alloc, clock=clock, store=_CancelAfterSchedule("late"), backend=be)
     try:
-        # wider than the one worker slot: the agent fails it fast after scheduling
-        submit(agent, TaskDescription(task_id="wide", kind=TaskKind.ZERO_COMPUTE, requires_cores=2))
-        assert agent.store.wait_terminal(["wide"], timeout=2.0)
-        assert agent.store.get("wide").state is TaskState.CANCELED
+        submit(agent, TaskDescription(task_id="late", kind=TaskKind.ZERO_COMPUTE))
+        assert agent.store.wait_terminal(["late"], timeout=2.0)
+        assert agent.store.get("late").state is TaskState.CANCELED
+        # the one worker lives on to fail the next task itself
         tid = submit(agent, zero_task(1))
         assert agent.store.wait_terminal([tid], timeout=2.0)
-        assert agent.store.get(tid).state is TaskState.DONE
-        assert agent.metrics().tasks_failed == 0
+        assert agent.store.get(tid).error.startswith("WalltimeExpired")
+        assert agent.metrics().tasks_failed == 1
+    finally:
+        agent.shutdown()
+
+
+def test_assign_rejects_a_task_that_can_never_fit():
+    agent = make_agent(local_desc("p", cores=2, gpus_per_node=1), workers=1)
+    try:
+        for desc in (zero_task(0, requires_cores=2), zero_task(1, requires_gpus=2)):
+            with pytest.raises(ValidationError):
+                agent.assign(new_record(desc, at=0.0))
+        assert agent.load() == 0
     finally:
         agent.shutdown()

@@ -367,6 +367,7 @@ def test_config_validation_and_param_count():
         # the pilot and `pq` seed rule: an unsigned 64-bit integer
         dict(seed=-1),
         dict(seed=2**64),
+        dict(seed=1.5),
     ):
         with pytest.raises(ValidationError):
             VqcConfig(**bad)

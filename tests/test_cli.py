@@ -82,6 +82,14 @@ def test_missing_session_exits_two(tmp_path, monkeypatch, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ['{"command": "throu', "[1, 2]"], ids=["truncated", "list"])
+def test_unreadable_session_exits_two(tmp_path, monkeypatch, capsys, content):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(content)
+    assert run_cli("status", "--session", "bad.json") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bad_config_file_exits_one(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "broken.json").write_text("[1, 2]")

@@ -141,6 +141,20 @@ def test_infeasible_everywhere_fails_fast(manager):
     assert "NoFeasiblePilot" in rec.error
 
 
+def test_placement_counts_worker_slots_not_allocation_cores(manager):
+    manager.create_pilot(local_desc("p", cores=4), workers=2)
+    live = manager.submit_task(zero_task(0, requires_cores=3))
+    manager.remove_pilot("p")
+    manager.create_pilot(local_desc("q", cores=2))
+    # a removed pilot counts with its worker slots too
+    gone = manager.submit_task(zero_task(1, requires_cores=3))
+    result = manager.wait([live, gone], timeout=5.0)
+    for rec in result.records.values():
+        assert rec.state is TaskState.FAILED
+        assert "NoFeasiblePilot" in rec.error
+        assert rec.timestamps.start_s is None
+
+
 def test_task_waits_when_no_pilot_is_configured_yet(manager):
     tid = manager.submit_task(zero_task(0))
     time.sleep(0.05)

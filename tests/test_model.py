@@ -1,6 +1,7 @@
 """Task lifecycle state machine, validation rules, and JSON round-trips."""
 
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +25,7 @@ from pilotq.model import (
     dumps,
     new_record,
     transition,
-    validate_pilot_description,
-    validate_task_description,
+    validate_seed,
 )
 from pilotq.qsim.circuit import PauliObservable, random_circuit
 
@@ -181,94 +181,115 @@ def _quantum(n=2, shots=0, observable=None, **kw):
 
 
 def test_task_validation_accepts_the_obvious_cases():
-    validate_task_description(TaskDescription(task_id="a", kind=TaskKind.ZERO_COMPUTE))
-    validate_task_description(
-        TaskDescription(
-            task_id="b",
-            kind=TaskKind.CLASSICAL_FN,
-            payload=ClassicalPayload(function="f", args=(1,)),
-        )
+    TaskDescription(task_id="a", kind=TaskKind.ZERO_COMPUTE)
+    TaskDescription(
+        task_id="b",
+        kind=TaskKind.CLASSICAL_FN,
+        payload=ClassicalPayload(function="f", args=(1,)),
     )
-    validate_task_description(_quantum(shots=128))
-    validate_task_description(_quantum(observable=PauliObservable.single(2, {0: "Z"})))
+    _quantum(shots=128)
+    _quantum(observable=PauliObservable.single(2, {0: "Z"}))
 
 
+# Each case builds its description inside pytest.raises: construction validates.
 @pytest.mark.parametrize(
     "desc",
     [
-        TaskDescription(task_id="", kind=TaskKind.ZERO_COMPUTE),
-        TaskDescription(task_id="  ", kind=TaskKind.ZERO_COMPUTE),
-        TaskDescription(task_id="a", kind=TaskKind.ZERO_COMPUTE, requires_cores=0),
-        TaskDescription(task_id="a", kind=TaskKind.ZERO_COMPUTE, requires_gpus=-1),
-        TaskDescription(task_id="a", kind=TaskKind.ZERO_COMPUTE, max_retries=-1),
-        TaskDescription(task_id="a", kind=TaskKind.ZERO_COMPUTE, requires_qubits=1),
-        TaskDescription(
-            task_id="a", kind=TaskKind.ZERO_COMPUTE, payload=ClassicalPayload(function="f")
+        partial(TaskDescription, task_id="", kind=TaskKind.ZERO_COMPUTE),
+        partial(TaskDescription, task_id="  ", kind=TaskKind.ZERO_COMPUTE),
+        partial(TaskDescription, task_id="a", kind=TaskKind.ZERO_COMPUTE, requires_cores=0),
+        partial(TaskDescription, task_id="a", kind=TaskKind.ZERO_COMPUTE, requires_gpus=-1),
+        partial(TaskDescription, task_id="a", kind=TaskKind.ZERO_COMPUTE, max_retries=-1),
+        partial(TaskDescription, task_id="a", kind=TaskKind.ZERO_COMPUTE, requires_qubits=1),
+        partial(
+            TaskDescription,
+            task_id="a",
+            kind=TaskKind.ZERO_COMPUTE,
+            payload=ClassicalPayload(function="f"),
         ),
-        TaskDescription(task_id="a", kind=TaskKind.CLASSICAL_FN),
-        TaskDescription(
-            task_id="a", kind=TaskKind.CLASSICAL_FN, payload=ClassicalPayload(function="")
-        ),
-        TaskDescription(
+        partial(TaskDescription, task_id="a", kind=TaskKind.CLASSICAL_FN),
+        partial(ClassicalPayload, function=""),
+        partial(
+            TaskDescription,
             task_id="a",
             kind=TaskKind.CLASSICAL_FN,
             payload=ClassicalPayload(function="f"),
             requires_qubits=2,
         ),
-        TaskDescription(task_id="a", kind=TaskKind.QUANTUM_CIRCUIT),
-        _quantum(shots=-1),
-        _quantum(requires_qubits=3),  # must equal the circuit width
+        partial(TaskDescription, task_id="a", kind=TaskKind.QUANTUM_CIRCUIT),
+        partial(_quantum, shots=-1),
+        partial(_quantum, requires_qubits=3),  # must equal the circuit width
     ],
 )
 def test_task_validation_rejects(desc):
     with pytest.raises(ValidationError):
-        validate_task_description(desc)
+        desc()
 
 
 def test_observable_forces_exact_mode_and_matching_width():
     obs2 = PauliObservable.single(2, {0: "Z"})
     with pytest.raises(ValidationError):
-        validate_task_description(_quantum(shots=16, observable=obs2))
+        _quantum(shots=16, observable=obs2)
     obs3 = PauliObservable.single(3, {0: "Z"})
     with pytest.raises(ValidationError):
-        validate_task_description(_quantum(n=2, observable=obs3))
+        _quantum(n=2, observable=obs3)
 
 
 def test_pilot_validation_rules():
-    validate_pilot_description(
-        PilotDescription(name="p", backend_kind=BackendKind.LOCAL, cores_per_node=8)
-    )
-    validate_pilot_description(
-        PilotDescription(name="q", backend_kind=BackendKind.QPU_SIM, qpu_qubits=32)
-    )
+    PilotDescription(name="p", backend_kind=BackendKind.LOCAL, cores_per_node=8)
+    PilotDescription(name="q", backend_kind=BackendKind.QPU_SIM, qpu_qubits=32)
+
+    def local(**kw):
+        return PilotDescription(name=kw.pop("name", "p"), backend_kind=BackendKind.LOCAL, **kw)
+
     bad = [
-        PilotDescription(name="", backend_kind=BackendKind.LOCAL),
-        PilotDescription(name="p", backend_kind=BackendKind.LOCAL, nodes=0),
-        PilotDescription(name="p", backend_kind=BackendKind.LOCAL, cores_per_node=0),
-        PilotDescription(name="p", backend_kind=BackendKind.LOCAL, gpus_per_node=-1),
-        PilotDescription(name="p", backend_kind=BackendKind.LOCAL, walltime_s=0.0),
-        PilotDescription(name="p", backend_kind=BackendKind.LOCAL, seed=-1),
+        lambda: local(name=""),
+        lambda: local(nodes=0),
+        lambda: local(cores_per_node=0),
+        lambda: local(gpus_per_node=-1),
+        lambda: local(walltime_s=0.0),
+        lambda: local(seed=-1),
+        # a seed is an integer, not a bool or a float
+        lambda: local(seed=True),
+        lambda: local(seed=1.5),
         # sampling backends need a declared width; classical ones must not have one
-        PilotDescription(name="p", backend_kind=BackendKind.QPU_SIM),
-        PilotDescription(name="p", backend_kind=BackendKind.QPU_SIM, qpu_qubits=8, gpus_per_node=1),
-        PilotDescription(name="p", backend_kind=BackendKind.LOCAL, qpu_qubits=4),
-        PilotDescription(
-            name="p", backend_kind=BackendKind.LOCAL, queue_model=QueueModel(base_delay_s=-1.0)
+        lambda: PilotDescription(name="p", backend_kind=BackendKind.QPU_SIM),
+        lambda: PilotDescription(
+            name="p", backend_kind=BackendKind.QPU_SIM, qpu_qubits=8, gpus_per_node=1
         ),
+        lambda: local(qpu_qubits=4),
+        lambda: local(queue_model=QueueModel(base_delay_s=-1.0)),
         # non-finite times: NaN passes every comparison-based bound, inf never elapses
-        PilotDescription(name="p", backend_kind=BackendKind.LOCAL, walltime_s=float("nan")),
-        PilotDescription(name="p", backend_kind=BackendKind.LOCAL, walltime_s=float("inf")),
+        lambda: local(walltime_s=float("nan")),
+        lambda: local(walltime_s=float("inf")),
         *(
-            PilotDescription(
-                name="p", backend_kind=BackendKind.LOCAL, queue_model=QueueModel(**{attr: value})
-            )
+            lambda attr=attr, value=value: local(queue_model=QueueModel(**{attr: value}))
             for attr in ("base_delay_s", "jitter_s", "per_task_latency_s")
             for value in (float("nan"), float("inf"))
         ),
     ]
     for desc in bad:
         with pytest.raises(ValidationError):
-            validate_pilot_description(desc)
+            desc()
+
+
+@pytest.mark.parametrize("seed", [2.9, True])
+def test_validate_seed_rejects_non_integers(seed):
+    with pytest.raises(ValidationError):
+        validate_seed(seed)
+
+
+@pytest.mark.parametrize(
+    "cls,data",
+    [
+        (TaskDescription, {"task_id": "", "kind": "zero_compute"}),
+        (TaskDescription, {"task_id": "a", "kind": "zero_compute", "requires_cores": 0}),
+        (PilotDescription, {"name": "p", "backend_kind": "local", "cores_per_node": 0}),
+    ],
+)
+def test_json_decode_validates_descriptions(cls, data):
+    with pytest.raises(ValidationError):
+        cls.from_json_dict(data)
 
 
 def test_pilot_totals_multiply_nodes():
@@ -357,7 +378,6 @@ def test_pilot_description_round_trips_through_json(desc):
 @settings(max_examples=50, deadline=None)
 @given(_task_descriptions())
 def test_task_description_round_trips_through_json(desc):
-    validate_task_description(desc)
     assert TaskDescription.from_json_dict(json.loads(dumps(desc))) == desc
 
 

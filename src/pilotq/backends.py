@@ -18,10 +18,22 @@ the built-in simulator, then sample counts, take an expectation value or
 take the output probabilities. A classical pilot's agent calls both
 directly; qpu_execute calls them after sleeping a queue wait drawn from
 the allocation's queue model, and reports that wait separately.
+
+At most `os.cpu_count()` simulations run at once across the process, over
+every pilot, admitted first come first served: a finished simulation
+hands its core straight to the oldest waiting one, so a worker that comes
+back for its next task cannot overtake a task already waiting. Worker
+threads beyond the cores would otherwise run their simulations in
+lockstep, each one's numpy calls handing the GIL to the others', and every
+one would take about as long as the whole batch. The wait for a core is
+part of exec_s: it is the host contention named above, now spent queueing
+rather than interleaved. Registered functions are not admitted this way.
 """
 
 from __future__ import annotations
 
+import collections
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -60,6 +72,36 @@ def run_timed(clock: Clock, latency_s: float, work, /, *args, **kwargs):
     return out, latency_s + (time.perf_counter() - t0)
 
 
+class _CoreQueue:
+    """A counting gate of `cores` slots, held with `with`, admitted first come
+    first served: a release passes its slot straight to the oldest waiter."""
+
+    def __init__(self, cores: int):
+        self._lock = threading.Lock()
+        self._free = cores
+        self._waiters: collections.deque[threading.Event] = collections.deque()
+
+    def __enter__(self):
+        with self._lock:
+            if self._free and not self._waiters:
+                self._free -= 1
+                return self
+            turn = threading.Event()
+            self._waiters.append(turn)
+        turn.wait()
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            if self._waiters:
+                self._waiters.popleft().set()
+            else:
+                self._free += 1
+
+
+_SIMULATION_CORES = _CoreQueue(os.cpu_count() or 1)
+
+
 def simulate_readout(
     circuit: Circuit,
     shots: int,
@@ -68,13 +110,14 @@ def simulate_readout(
 ) -> TaskResult:
     """Simulate under the simulator's default memory cap, then read out: the
     expectation of `observable` if given, else `shots` sampled counts
-    (seeded), else exact probabilities."""
-    state = run_circuit(circuit)
-    if observable is not None:
-        return TaskResult(value=expectation(state, observable))
-    if shots > 0:
-        return TaskResult(counts=sample(state, shots, seed))
-    return TaskResult(probabilities=tuple(float(p) for p in probabilities(state)))
+    (seeded), else exact probabilities. Waits first for a core."""
+    with _SIMULATION_CORES:
+        state = run_circuit(circuit)
+        if observable is not None:
+            return TaskResult(value=expectation(state, observable))
+        if shots > 0:
+            return TaskResult(counts=sample(state, shots, seed))
+        return TaskResult(probabilities=tuple(float(p) for p in probabilities(state)))
 
 
 def _queue_delay(qm: QueueModel, seed: int) -> float:

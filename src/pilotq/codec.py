@@ -5,19 +5,23 @@ tuples become lists, dict keys become strings and nested dataclasses become
 dicts, with fields in declaration order. `decode` reverses it from each
 field's type annotation (read once per class): tuple fields come back as
 tuples, `dict[int, T]` keys as ints, enums and nested dataclasses as
-themselves. A missing key takes the field's default, and a union of
-dataclasses decodes as the alternative whose field names cover the keys.
-Fields declared with init=False are derived, so they are neither written
-nor read.
+themselves. An `int` field takes only a JSON integer: a bool or a float
+(2.7, and 2.0 too) raises ValidationError instead of being truncated. A
+missing key takes the field's default, and a union of dataclasses decodes
+as the alternative whose field names cover the keys. Fields declared with
+init=False are derived, so they are neither written nor read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import numbers
 import types
 import typing
 from typing import Any, Union
+
+from pilotq.errors import ValidationError
 
 _PLAIN = frozenset({str, int, float, bool, type(None)})
 _UNIONS = (Union, types.UnionType)
@@ -66,8 +70,12 @@ def decode(tp: Any, raw: Any) -> Any:
     """The value of annotated type `tp` that `encode` turned into `raw`."""
     if raw is None or tp is Any:
         return raw
-    if tp is int or tp is float:
-        return tp(raw)
+    if tp is int:
+        if isinstance(raw, bool) or not isinstance(raw, numbers.Integral):
+            raise ValidationError(f"expected an integer, got {raw!r}")
+        return int(raw)
+    if tp is float:
+        return float(raw)
     if dataclasses.is_dataclass(tp):
         return tp(**{name: decode(hint, raw[name]) for name, hint in _fields(tp) if name in raw})
     if isinstance(tp, enum.EnumMeta):
@@ -89,7 +97,11 @@ def decode(tp: Any, raw: Any) -> Any:
         return tuple(decode(a, v) for a, v in zip(args, raw))
     if origin is dict:
         key_tp, value_tp = args
-        return {decode(key_tp, k): decode(value_tp, v) for k, v in raw.items()}
+        # JSON object keys are strings, so an int key is parsed, not checked.
+        return {
+            int(k) if key_tp is int else decode(key_tp, k): decode(value_tp, v)
+            for k, v in raw.items()
+        }
     return raw
 
 

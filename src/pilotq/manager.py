@@ -120,16 +120,20 @@ class PilotManager:
                 raise DuplicatePilotName(desc.name)
             backend = self._backends[desc.backend_kind]
             alloc = backend.provision(desc)
-            agent = PilotAgent(
-                alloc,
-                workers,
-                clock=self._clock,
-                log=self._log,
-                store=self._store,
-                functions=self._functions,
-                backend=backend,
-                on_terminal=self._on_agent_terminal,
-            ).start()
+            try:
+                agent = PilotAgent(
+                    alloc,
+                    workers,
+                    clock=self._clock,
+                    log=self._log,
+                    store=self._store,
+                    functions=self._functions,
+                    backend=backend,
+                    on_terminal=self._on_agent_terminal,
+                ).start()
+            except BaseException:  # no agent holds the allocation to release it later
+                backend.release(alloc)
+                raise
             self._pilots[desc.name] = agent
             self._configured[desc.name] = agent
             self._log.emit(

@@ -1,15 +1,20 @@
 """Resource-backend provisioning, release, and the sampling QPU stand-in."""
 
+import os
+import threading
+import time
 from dataclasses import replace
 
 import pytest
 
 from helpers import local_desc, qpu_desc
-from pilotq.backends import ResourceBackend, make_backends, startup_delay
+from pilotq import backends
+from pilotq.backends import ResourceBackend, make_backends, simulate_readout, startup_delay
 from pilotq.clock import SimulatedClock
 from pilotq.errors import DoubleRelease, QubitCapacityExceeded, ValidationError
 from pilotq.model import BackendKind, PilotDescription, QueueModel
 from pilotq.qsim.circuit import Circuit, Gate, random_circuit
+from pilotq.qsim.simulate import zero_state
 
 
 def test_provision_and_release_track_granted_totals():
@@ -173,3 +178,66 @@ def test_qpu_queue_wait_is_the_seeded_startup_draw():
         waits.append(wait)
     assert 0.0 in waits  # a draw below zero is clamped
     assert len(set(waits)) > 2  # and the rest are jittered
+
+
+def _until(predicate, what, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.001)
+
+
+def test_simulations_are_admitted_up_to_the_cores_in_arrival_order(monkeypatch):
+    # Each worker thread runs two simulations back to back, as an agent
+    # worker takes its next task. A freed core must go to the oldest waiter,
+    # not to the worker that just gave it up.
+    cores = os.cpu_count() or 1
+    workers = cores + 2
+    circuits = [Circuit(1, ()) for _ in range(2 * workers)]
+    index = {id(c): k for k, c in enumerate(circuits)}
+    go = [threading.Event() for _ in circuits]
+    started, running, peak = [], [0], [0]
+    lock = threading.Lock()
+
+    def stand_in(circuit):
+        k = index[id(circuit)]
+        with lock:
+            started.append(k)
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        go[k].wait(10.0)
+        with lock:
+            running[0] -= 1
+        return zero_state(1)
+
+    monkeypatch.setattr(backends, "run_circuit", stand_in)
+    waiting = backends._SIMULATION_CORES._waiters
+
+    def worker(w):
+        for k in (w, workers + w):
+            simulate_readout(circuits[k], 0, 0)
+
+    threads = [threading.Thread(target=worker, args=(w,), daemon=True) for w in range(workers)]
+    for w, t in enumerate(threads):
+        t.start()  # arrivals in worker order: each is running or queued before the next
+        if w < cores:
+            _until(lambda: len(started) == w + 1, f"worker {w} to start")
+        else:
+            _until(lambda: len(waiting) == w - cores + 1, f"worker {w} to queue")
+    # The first round in arrival order, then each worker's second call in
+    # the order its first one finished.
+    expected = list(range(workers)) + [workers + w for w in range(workers)]
+    for n in range(len(circuits)):
+        go[started[n]].set()
+        # The freed core's next holder has started, and the released
+        # worker's second call has arrived, before the next release.
+        _until(
+            lambda: len(started) == min(len(circuits), cores + n + 1)
+            and len(started) + len(waiting) == min(len(circuits), workers + n + 1),
+            "the next admission",
+        )
+        assert started == expected[: len(started)]
+    for t in threads:
+        t.join(10.0)
+    assert started == expected
+    assert peak[0] == cores

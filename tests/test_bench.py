@@ -445,14 +445,15 @@ def test_batched_gradient_applies_each_gate_once_per_batch(monkeypatch):
     features, labels = make_blobs(cfg.samples, cfg.n_qubits, cfg.seed)
     params = np.zeros(cfg.num_params)
     calls = []
-    kernel = simulate._apply_1q_view
+    apply = simulate._apply
 
     def counted(*args):
         calls.append(1)
-        kernel(*args)
+        apply(*args)
 
-    # Every 1q, CNOT and CZ application, forward or adjoint, goes through this kernel.
-    monkeypatch.setattr(simulate, "_apply_1q_view", counted)
+    # Every 1q, CNOT and CZ application, forward or adjoint, goes through
+    # this entry point, whichever layout serves it.
+    monkeypatch.setattr(simulate, "_apply", counted)
     per_batch = []
     for rows in (1, 25):
         calls.clear()

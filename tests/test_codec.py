@@ -10,6 +10,7 @@ from pilotq.bench.runners import RunMetrics
 from pilotq.bench.vqc import VqcConfig
 from pilotq.clock import SimulatedClock
 from pilotq.codec import JsonRecord
+from pilotq.errors import ValidationError
 from pilotq.cutting import CutWorkflowResult, clustered_circuit, find_cuts, generate_subexperiments
 from pilotq.events import EventLog, EventRecord, read_events
 from pilotq.model import (
@@ -150,6 +151,20 @@ def test_missing_keys_take_the_field_defaults():
     assert TaskDescription.from_json_dict({"task_id": "z", "kind": "zero_compute"}) == TaskDescription(
         "z", TaskKind.ZERO_COMPUTE
     )
+
+
+def test_an_int_field_takes_only_an_integer():
+    pilot = {"name": "p", "backend_kind": "local"}
+    for bad in ({"cores_per_node": 2.7}, {"seed": 2.9}, {"cores_per_node": 2.0}, {"cores_per_node": True}):
+        with pytest.raises(ValidationError, match="expected an integer"):
+            PilotDescription.from_json_dict({**pilot, **bad})
+    decoded = PilotDescription.from_json_dict({**pilot, "cores_per_node": 2, "seed": 3})
+    assert (decoded.cores_per_node, decoded.seed) == (2, 3)
+    task = {"task_id": "t", "kind": "zero_compute"}
+    for bad in ({"requires_cores": True}, {"requires_cores": 1.5}, {"max_retries": False}):
+        with pytest.raises(ValidationError, match="expected an integer"):
+            TaskDescription.from_json_dict({**task, **bad})
+    assert TaskDescription.from_json_dict({**task, "requires_cores": 2}).requires_cores == 2
 
 
 def test_event_log_file_reads_back_as_the_emitted_records(tmp_path):

@@ -20,6 +20,7 @@ from pilotq.errors import (
     DuplicateTaskId,
     UnknownPilot,
     UnknownTaskId,
+    WorkerOversubscription,
 )
 from pilotq.events import EventLog, replay_task_states
 from pilotq.manager import PilotManager, sim_qubit_capacity
@@ -72,6 +73,16 @@ def test_duplicate_pilot_and_task_ids_are_rejected(manager):
     manager.submit_task(zero_task(0))
     with pytest.raises(DuplicateTaskId):
         manager.submit_task(zero_task(0))
+
+
+def test_a_pilot_whose_agent_cannot_be_built_leaves_no_live_allocation(manager):
+    backend = manager._backends[BackendKind.LOCAL]
+    with pytest.raises(WorkerOversubscription):
+        manager.create_pilot(local_desc("p", cores=2), workers=3)
+    assert backend.live_allocations() == []
+    assert manager.status_snapshot()["pilots"] == []
+    manager.create_pilot(local_desc("p", cores=2), workers=2)
+    assert [a.pilot_name for a in backend.live_allocations()] == ["p"]
 
 
 def test_remove_unknown_pilot_raises(manager):

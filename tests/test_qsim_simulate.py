@@ -16,6 +16,7 @@ from helpers import (
     oracle_run,
 )
 from pilotq.errors import MemoryCapExceeded, ValidationError
+from pilotq.qsim import simulate
 from pilotq.qsim.circuit import (
     Circuit,
     Gate,
@@ -81,6 +82,110 @@ def test_two_qubit_gates_match_index_constructed_matrices(name, pair):
     apply_gate(got, gate)
     want = gate_to_matrix(gate, n) @ state
     assert np.allclose(got, want, atol=1e-12)
+
+
+# --- both layouts against a tensordot oracle ----------------------------------------
+#
+# A 13-qubit state has 8192 amplitudes, so gates on qubits 0-5 take the row view
+# and gates on qubits 6-12 the half view; a (3, 2**13) stack takes the same.
+
+WIDE = 13
+ONE_QUBIT_GATES = ["H", "X", "Y", "Z", "S", "T", "RX", "RY", "RZ"]
+
+
+def _tensordot_oracle(states: np.ndarray, gate: Gate, adjoint: bool = False) -> np.ndarray:
+    """The gate on every row of `states` (B, 2**n) by one dense tensordot.
+
+    Axis 1 + (n - 1 - q) of the (B, 2, ..., 2) tensor holds qubit q.
+    """
+    b, n = states.shape[0], int(math.log2(states.shape[1]))
+    if gate.name in ORACLE_FIXED:
+        m = ORACLE_FIXED[gate.name]
+    elif gate.name == "CNOT":
+        m = ORACLE_FIXED["X"]
+    elif gate.name == "CZ":
+        m = ORACLE_FIXED["Z"]
+    else:
+        m = oracle_rotation(gate.name, gate.param)
+    if len(gate.qubits) == 2:  # control, target: |0><0| x I + |1><1| x m
+        full = np.zeros((4, 4), dtype=complex)
+        full[:2, :2] = np.eye(2)
+        full[2:, 2:] = m
+        m = full.reshape(2, 2, 2, 2)
+    if adjoint:
+        k = len(gate.qubits)
+        m = m.reshape(2**k, 2**k).conj().T.reshape((2,) * 2 * k)
+    axes = [1 + n - 1 - q for q in gate.qubits]
+    psi = states.reshape((b,) + (2,) * n)
+    out = np.tensordot(m, psi, axes=(list(range(len(axes), 2 * len(axes))), axes))
+    return np.moveaxis(out, list(range(len(axes))), axes).reshape(b, 2**n)
+
+
+def _random_states(rows: int, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+def _check_layouts(gates, seed):
+    for rows in (None, 3):  # one state, then a (3, 2**13) row stack
+        states = _random_states(rows or 1, WIDE, seed)
+        for gate in gates:
+            for adjoint in (False, True):
+                got = states.copy() if rows else states[0].copy()
+                apply_gate(got, gate, adjoint=adjoint)
+                want = _tensordot_oracle(states, gate, adjoint)
+                assert np.allclose(got.reshape(want.shape), want, rtol=0, atol=1e-12), (gate, rows)
+
+
+@pytest.mark.parametrize("name", ONE_QUBIT_GATES)
+def test_every_one_qubit_gate_on_every_wide_qubit_matches_tensordot(name):
+    param = 0.731 if name.startswith("R") else None
+    _check_layouts([Gate(name, (q,), param) for q in range(WIDE)], seed=len(name))
+
+
+@pytest.mark.parametrize("name", ["CNOT", "CZ"])
+def test_controlled_gates_on_every_ordered_wide_pair_match_tensordot(name):
+    pairs = [(c, t) for c in range(WIDE) for t in range(WIDE) if c != t]
+    _check_layouts([Gate(name, pair) for pair in pairs], seed=len(name))
+
+
+def _gate_by_gate(circuit: Circuit) -> np.ndarray:
+    state = zero_state(circuit.num_qubits)
+    for gate in circuit.gates:
+        apply_gate(state, gate)
+    return state
+
+
+@pytest.mark.parametrize("n", [5, WIDE])
+def test_fused_run_circuit_matches_gate_by_gate_application(n):
+    gates = [
+        Gate("H", (0,)), Gate("H", (1,)), Gate("H", (2,)), Gate("H", (n - 1,)),
+        Gate("T", (0,)), Gate("S", (0,)), Gate("Z", (0,)), Gate("RZ", (0,), 0.4),  # diagonal run
+        Gate("CNOT", (0, 1)),
+        Gate("H", (2,)), Gate("H", (2,)),  # H.H: an identity only up to rounding
+        Gate("CZ", (2, 1)),
+        Gate("RX", (3,), 1.1), Gate("T", (3,)), Gate("CNOT", (3, n - 1)),
+        Gate("RY", (1,), 0.3), Gate("X", (1,)), Gate("S", (1,)),  # still pending at the end
+    ]
+    for circuit in (Circuit(n, tuple(gates)), random_circuit(n, 10, seed=n)):
+        got, want = run_circuit(circuit), _gate_by_gate(circuit)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_run_circuit_applies_each_wire_run_once(monkeypatch):
+    calls = []
+    apply = simulate._apply
+
+    def counted(state, m, qubits):
+        calls.append(qubits)
+        apply(state, m, qubits)
+
+    monkeypatch.setattr(simulate, "_apply", counted)
+    gates = [Gate("H", (0,)), Gate("T", (0,)), Gate("RX", (1,), 0.2), Gate("CNOT", (0, 2))]
+    gates += [Gate("S", (0,)), Gate("H", (0,)), Gate("Y", (1,))]
+    run_circuit(Circuit(3, tuple(gates)))
+    assert calls == [(0,), (0, 2), (1,), (0,)]
 
 
 def test_adjoint_application_inverts_the_gate():

@@ -53,6 +53,9 @@ from pilotq.store import TaskStore
 
 @dataclass(frozen=True)
 class AgentMetrics(JsonRecord):
+    """One pilot's counters. tasks_failed counts tasks that ended FAILED on
+    it; an attempt that failed and went back for a retry counts as neither."""
+
     tasks_done: int = 0
     tasks_failed: int = 0
     busy_cores: int = 0
@@ -235,7 +238,7 @@ class PilotAgent:
                     if final is not None:
                         if final.state is TaskState.DONE:
                             self._tasks_done += 1
-                        else:
+                        elif final.state is TaskState.FAILED:
                             self._tasks_failed += 1
                     self._cond.notify_all()
             if final is not None:

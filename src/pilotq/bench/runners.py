@@ -5,13 +5,22 @@ snapshot file that `pq status` reads back. Column names ending in `_s` or
 `_ms` are wall-clock measurements and excluded from determinism guarantees;
 every other column is reproducible for a fixed seed.
 
-The drivers share one skeleton. `_fleet` opens the event log, builds a
-manager, creates its pilots (one worker per core) and waits until they are
-ready; leaving it shuts the manager down and closes the log. A run that
-finished drains the pilots' queues first; a run that raised (a failed
-workflow, a diverging loss, Ctrl-C) stops its pilots without draining, so
-no worker thread outlives it. `_finish` writes the CSV and the session
-file, and is the only code that knows the session format.
+The drivers share one skeleton, `_Run`. Its `fleet` opens the event log,
+builds a manager, creates its pilots (one worker per core) and waits until
+they are ready; leaving it shuts the manager down and closes the log. A
+fleet whose block finished drains the pilots' queues first; one whose block
+raised (a failed workflow, a diverging loss, Ctrl-C) stops its pilots
+without draining, so no worker thread outlives the run. A run may open
+several fleets one after another, and they append to one event log.
+
+Every task count a run reports comes from its fleets' task stores: as each
+fleet closes, the final state of every record in its store is added to the
+run's tally. The session snapshot is the last finished fleet's
+`status_snapshot()`, taken after its block's work and before shutdown.
+`_Run.finish` builds `RunMetrics` from the tally, writes the CSV and the
+session file, and is the only code that knows the session format. A sweep
+list (task counts, qubit counts, backends, worker counts) that repeats a
+value is rejected before any work starts.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ import csv
 import json
 import statistics
 import time
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +158,14 @@ def _positive_ints(values, what) -> list[int]:
     return ints
 
 
+def _distinct(values, what):
+    """`values` unchanged; ValidationError naming the first one a sweep lists twice."""
+    repeated = [v for v, n in Counter(values).items() if n > 1]
+    if repeated:
+        raise ValidationError(f"the {what} list repeats {repeated[0]}")
+    return values
+
+
 def _local_pilot(name, cores, latency_s=0.0, seed=0) -> PilotDescription:
     return PilotDescription(
         name=name,
@@ -158,56 +176,70 @@ def _local_pilot(name, cores, latency_s=0.0, seed=0) -> PilotDescription:
     )
 
 
-@contextmanager
-def _fleet(log_path, *pilots: PilotDescription, functions=None):
-    """A manager with `pilots` created, one worker per core, and ready.
+@dataclass
+class _Run:
+    """One `pq` run: the fleets it opens, then its CSV and session file."""
 
-    On exit the manager shuts down, draining the queues if the block
-    finished and not if it raised, and then the event log closes. The log
-    appends, so fleets opened one after another write one stream.
-    """
-    with EventLog(path=log_path) as log:
-        manager = PilotManager(log=log, functions=functions)
-        finished = False
-        try:
-            for desc in pilots:
-                manager.create_pilot(desc)
-            manager.wait_pilots_ready()
-            yield manager
-            finished = True
-        finally:
-            manager.shutdown(drain=finished)
+    command: str
+    out_path: str | Path
+    session_path: str | Path
+    seed: int
+    log_path: str | Path | None = None
+    snapshot: dict | None = None
+    tally: Counter = field(default_factory=Counter)
 
+    @contextmanager
+    def fleet(self, *pilots: PilotDescription, functions=None):
+        """A manager with `pilots` created, one worker per core, and ready.
 
-def _finish(
-    command,
-    rows,
-    metrics: RunMetrics,
-    *,
-    out_path,
-    session_path,
-    seed,
-    log_path=None,
-    snapshot=None,
-    summary=None,
-    fieldnames=None,
-) -> RunMetrics:
-    """Write the CSV and the session file (the one place that knows its keys)."""
-    write_csv(out_path, fieldnames or rows[0].keys(), rows)
-    write_session(
-        {
-            "command": command,
-            "finished_at_s": time.time(),
-            "out_csv": str(out_path) if out_path else None,
-            "event_log": str(log_path) if log_path else None,
-            "seed": seed,
-            "snapshot": snapshot,
-            "metrics": metrics.to_json_dict(),
-            "summary": summary or {},
-        },
-        session_path,
-    )
-    return metrics
+        Leaving it shuts the manager down, draining only if the block
+        finished, closes the log, and adds the store's final states to the
+        run's tally.
+        """
+        with EventLog(path=self.log_path) as log:
+            manager = PilotManager(log=log, functions=functions)
+            finished = False
+            try:
+                for desc in pilots:
+                    manager.create_pilot(desc)
+                manager.wait_pilots_ready()
+                yield manager
+                self.snapshot = manager.status_snapshot()
+                finished = True
+            finally:
+                manager.shutdown(drain=finished)
+                self.tally.update(rec.state.value for rec in manager.store.snapshot().values())
+
+    def finish(self, rows, params, phase_s, summary=None, fieldnames=None) -> RunMetrics:
+        """RunMetrics from the tally; writes the CSV and the session file
+        (the one place that knows its keys). A list param is comma-joined."""
+        metrics = RunMetrics(
+            workload=self.command,
+            params={
+                k: ",".join(map(str, v)) if isinstance(v, (list, tuple)) else str(v)
+                for k, v in params.items()
+            },
+            phase_s=phase_s,
+            tasks_total=sum(self.tally.values()),
+            tasks_done=self.tally[TaskState.DONE.value],
+            tasks_failed=self.tally[TaskState.FAILED.value],
+            tasks_canceled=self.tally[TaskState.CANCELED.value],
+        )
+        write_csv(self.out_path, fieldnames or rows[0].keys(), rows)
+        write_session(
+            {
+                "command": self.command,
+                "finished_at_s": time.time(),
+                "out_csv": str(self.out_path) if self.out_path else None,
+                "event_log": str(self.log_path) if self.log_path else None,
+                "seed": self.seed,
+                "snapshot": self.snapshot,
+                "metrics": metrics.to_json_dict(),
+                "summary": summary or {},
+            },
+            self.session_path,
+        )
+        return metrics
 
 
 # --- throughput ---------------------------------------------------------------------
@@ -227,16 +259,17 @@ def cmd_throughput(
     runtime_incl_s counts pilot startup, runtime_excl_s only the
     submit-to-done window that throughput is computed from.
     """
-    counts = _positive_ints(tasks_list, "task count")
+    counts = _distinct(_positive_ints(tasks_list, "task count"), "task count")
     if pilots < 1:
         raise ValidationError("pilots must be >= 1")
 
+    run = _Run("throughput", out_path, session_path, seed, log_path)
     rows = []
     startup_total = 0.0
     for count in counts:
         descs = [_local_pilot(f"tp{count}-{p}", cores=workers, seed=seed) for p in range(pilots)]
         t0 = time.perf_counter()
-        with _fleet(log_path, *descs) as manager:
+        with run.fleet(*descs) as manager:
             t_ready = time.perf_counter()
             ids = [
                 manager.submit_task(
@@ -247,7 +280,6 @@ def cmd_throughput(
             manager.wait(ids)
             t_end = time.perf_counter()
             records = [manager.task(tid) for tid in ids]
-            snapshot = manager.status_snapshot()
 
         done = sum(r.state is TaskState.DONE for r in records)
         dispatch_ms = sorted(
@@ -274,18 +306,10 @@ def cmd_throughput(
         )
         startup_total += t_ready - t0
 
-    metrics = RunMetrics(
-        workload="throughput",
-        params={"tasks": ",".join(map(str, counts)), "pilots": str(pilots), "workers": str(workers)},
-        phase_s={"startup": startup_total, "execute": sum(r["runtime_excl_s"] for r in rows)},
-        tasks_total=sum(counts),
-        tasks_done=sum(r["done"] for r in rows),
-        tasks_failed=sum(r["failed"] for r in rows),
-    )
-    return _finish(
-        "throughput", rows, metrics,
-        out_path=out_path, session_path=session_path, seed=seed,
-        log_path=log_path, snapshot=snapshot,
+    return run.finish(
+        rows,
+        {"tasks": counts, "pilots": pilots, "workers": workers},
+        {"startup": startup_total, "execute": sum(r["runtime_excl_s"] for r in rows)},
     )
 
 
@@ -319,7 +343,7 @@ def cmd_circuits(
     Every circuit and task description is built before the first submit,
     and each backend runs on its own fleet.
     """
-    sizes = _positive_ints(qubits_list, "qubit count")
+    sizes = _distinct(_positive_ints(qubits_list, "qubit count"), "qubit count")
     if count < 1:
         raise ValidationError("count must be >= 1")
     if not backends:
@@ -327,6 +351,7 @@ def cmd_circuits(
     bad = set(backends) - {"local", "qpu_sim"}
     if bad:
         raise ValidationError(f"unknown backends: {sorted(bad)}")
+    _distinct(backends, "backend")
 
     pilots = [
         PilotDescription(
@@ -348,8 +373,8 @@ def cmd_circuits(
         n: [random_circuit(n, depth, _circuit_task_seed(seed, n, i)) for i in range(count)]
         for n in sizes
     }
+    run = _Run("circuits", out_path, session_path, seed, log_path)
     rows = []
-    done_total = failed_total = 0
     execute_total = 0.0
     for backend, pilot in zip(backends, pilots):
         qpu = backend == "qpu_sim"
@@ -370,7 +395,7 @@ def cmd_circuits(
             ]
             for n in sizes
         }
-        with _fleet(log_path, pilot) as manager:
+        with run.fleet(pilot) as manager:
             t0 = time.perf_counter()
             manager.wait(
                 [manager.submit_task(d) for descs in descs_by_size.values() for d in descs]
@@ -379,7 +404,6 @@ def cmd_circuits(
             records_by_size = {
                 n: [manager.task(d.task_id) for d in descs] for n, descs in descs_by_size.items()
             }
-            snapshot = manager.status_snapshot()
 
         for n, records in records_by_size.items():
             exec_times = [
@@ -387,39 +411,23 @@ def cmd_circuits(
                 for r in records
                 if r.state is TaskState.DONE and r.result is not None
             ]
-            failed = sum(r.state is TaskState.FAILED for r in records)
             rows.append(
                 {
                     "backend": backend,
                     "qubits": n,
                     "tasks": count,
-                    "failed": failed,
+                    "failed": sum(r.state is TaskState.FAILED for r in records),
                     "depth": depth,
                     "shots": task_shots,
                     "mean_s": statistics.fmean(exec_times) if exec_times else None,
                     "std_s": statistics.stdev(exec_times) if len(exec_times) > 1 else None,
                 }
             )
-            done_total += len(exec_times)
-            failed_total += failed
 
-    metrics = RunMetrics(
-        workload="circuits",
-        params={
-            "qubits": ",".join(map(str, sizes)),
-            "count": str(count),
-            "backends": ",".join(backends),
-            "depth": str(depth),
-        },
-        phase_s={"execute": execute_total},
-        tasks_total=count * len(rows),
-        tasks_done=done_total,
-        tasks_failed=failed_total,
-    )
-    return _finish(
-        "circuits", rows, metrics,
-        out_path=out_path, session_path=session_path, seed=seed,
-        log_path=log_path, snapshot=snapshot,
+    return run.finish(
+        rows,
+        {"qubits": sizes, "count": count, "backends": backends, "depth": depth},
+        {"execute": execute_total},
     )
 
 
@@ -446,6 +454,7 @@ def cmd_gradients(
     if layers < 1:
         raise ValidationError("layers must be >= 1")
 
+    run = _Run("gradients", out_path, session_path, seed)
     rng = np.random.default_rng(seed)
     rows = []
     wall_start = time.perf_counter()
@@ -480,17 +489,10 @@ def cmd_gradients(
             scale = max(float(np.max(np.abs(fd))), 1e-12)
             row["grad_fd_max_rel_err"] = float(np.max(np.abs(grad - fd)) / scale)
 
-    metrics = RunMetrics(
-        workload="gradients",
-        params={"qubits": ",".join(map(str, sizes)), "layers": str(layers)},
-        phase_s={"execute": time.perf_counter() - wall_start},
-        tasks_total=0,
-        tasks_done=0,
-        tasks_failed=0,
-    )
-    return _finish(
-        "gradients", rows, metrics,
-        out_path=out_path, session_path=session_path, seed=seed,
+    return run.finish(
+        rows,
+        {"qubits": sizes, "layers": layers},
+        {"execute": time.perf_counter() - wall_start},
         summary={"rows": len(rows)},
     )
 
@@ -538,7 +540,11 @@ def cmd_cut(
     worthwhile.
     """
     sizes = _positive_ints(cluster_sizes, "cluster size")
-    workers_list = _positive_ints(workers_list, "worker count") if workers_list else []
+    workers_list = (
+        _distinct(_positive_ints(workers_list, "worker count"), "worker count")
+        if workers_list
+        else []
+    )
     if shots < 0:
         raise ValidationError("shots must be >= 0")
 
@@ -572,57 +578,37 @@ def cmd_cut(
             "total_s": sum(t for t in (plan_s, exec_s, reconstruct_s) if t is not None),
         }
 
+    run = _Run("cut", out_path, session_path, seed, log_path)
     rows = [row(0, oracle_value, baseline_s)]
-    snapshot = None
-    with _fleet(log_path) as manager:
-        if len(sizes) >= 2:
-            for w in workers_list:
-                pilot = manager.create_pilot(
-                    _local_pilot(f"cut-w{w}", cores=w, latency_s=task_latency_s, seed=seed)
-                )
-                manager.wait_pilots_ready()
-                result = run_cut_workflow(
-                    manager,
-                    circuit,
-                    observable,
-                    max_width=max_width,
-                    shots=shots,
-                    oracle=False,
-                    task_prefix=f"w{w}",
-                )
-                rows.append(
-                    row(
-                        w,
-                        result.value,
-                        result.exec_s,
-                        plan_s=result.plan_s,
-                        reconstruct_s=result.reconstruct_s,
-                        num_cuts=result.num_cuts,
-                        subexperiments=result.num_subexperiments,
-                        sampling_overhead=result.sampling_overhead,
-                    )
-                )
-                manager.remove_pilot(pilot)
-            snapshot = manager.status_snapshot()
+    for w in workers_list if len(sizes) >= 2 else ():
+        pilot = _local_pilot(f"cut-w{w}", cores=w, latency_s=task_latency_s, seed=seed)
+        with run.fleet(pilot) as manager:
+            result = run_cut_workflow(
+                manager,
+                circuit,
+                observable,
+                max_width=max_width,
+                shots=shots,
+                oracle=False,
+                task_prefix=f"w{w}",
+            )
+        rows.append(
+            row(
+                w,
+                result.value,
+                result.exec_s,
+                plan_s=result.plan_s,
+                reconstruct_s=result.reconstruct_s,
+                num_cuts=result.num_cuts,
+                subexperiments=result.num_subexperiments,
+                sampling_overhead=result.sampling_overhead,
+            )
+        )
 
-    subexperiments = sum(r["subexperiments"] for r in rows[1:])
-    metrics = RunMetrics(
-        workload="cut",
-        params={
-            "config": config,
-            "reps": str(reps),
-            "shots": str(shots),
-            "workers": ",".join(map(str, workers_list)),
-        },
-        phase_s={"execute": sum(r["exec_s"] for r in rows)},
-        tasks_total=subexperiments,
-        tasks_done=subexperiments,
-        tasks_failed=0,
-    )
-    return _finish(
-        "cut", rows, metrics,
-        out_path=out_path, session_path=session_path, seed=seed,
-        log_path=log_path, snapshot=snapshot,
+    return run.finish(
+        rows,
+        {"config": config, "reps": reps, "shots": shots, "workers": workers_list},
+        {"execute": sum(r["exec_s"] for r in rows)},
     )
 
 
@@ -637,14 +623,14 @@ def cmd_vqc(
     session_path=SESSION_FILE,
 ) -> RunMetrics:
     """Train the blob classifier through the manager; one CSV row per epoch."""
+    run = _Run("vqc", out_path, session_path, config.seed, log_path)
     rows = []
-    with _fleet(
-        log_path,
+    with run.fleet(
         _local_pilot("vqc", cores=workers, seed=config.seed),
         functions={BATCH_GRADIENT_FN: batch_gradient},
     ) as manager:
         t0 = time.perf_counter()
-        run = train_vqc(
+        trained = train_vqc(
             config,
             manager,
             on_epoch=lambda s: rows.append(
@@ -658,33 +644,22 @@ def cmd_vqc(
             ),
         )
         train_s = time.perf_counter() - t0
-        snapshot = manager.status_snapshot()
 
     summary = {
-        "initial_loss": run.initial_loss,
-        "final_loss": run.final_loss,
-        "final_accuracy": run.final_accuracy,
+        "initial_loss": trained.initial_loss,
+        "final_loss": trained.final_loss,
+        "final_accuracy": trained.final_accuracy,
         "epochs": config.epochs,
     }
-    if config.epochs == 0:  # run.params is still the initial draw
+    if config.epochs == 0:  # trained.params is still the initial draw
         features, labels = make_blobs(config.samples, config.n_qubits, config.seed)
-        loss, acc = evaluate(config, run.params, features, labels)
+        loss, acc = evaluate(config, trained.params, features, labels)
         summary.update({"untrained_loss": loss, "untrained_accuracy": acc})
-    tallies = snapshot.get("tasks", {})
-    done = int(tallies.get(TaskState.DONE.value, 0))
-    failed = int(tallies.get(TaskState.FAILED.value, 0))
-    metrics = RunMetrics(
-        workload="vqc",
-        params={k: str(v) for k, v in config.to_json_dict().items()},
-        phase_s={"train": train_s},
-        tasks_total=done + failed,
-        tasks_done=done,
-        tasks_failed=failed,
-    )
-    return _finish(
-        "vqc", rows, metrics,
-        out_path=out_path, session_path=session_path, seed=config.seed,
-        log_path=log_path, snapshot=snapshot, summary=summary,
+    return run.finish(
+        rows,
+        config.to_json_dict(),
+        {"train": train_s},
+        summary=summary,
         fieldnames=["epoch", "loss", "train_accuracy", "grad_norm", "epoch_s"],
     )
 

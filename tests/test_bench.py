@@ -146,6 +146,9 @@ def test_throughput_rejects_bad_inputs(tmp_path):
         cmd_throughput(
             [4], pilots=0, out_path=tmp_path / "x.csv", session_path=tmp_path / "s.json"
         )
+    with pytest.raises(ValidationError, match="task count list repeats 8"):
+        cmd_throughput([8, 8], out_path=tmp_path / "x.csv", session_path=tmp_path / "s.json")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_throughput_nontiming_columns_repeat(tmp_path):
@@ -217,6 +220,16 @@ def test_circuits_rejects_unknown_backend(tmp_path):
         cmd_circuits(
             [2], backends=(), out_path=tmp_path / "x.csv", session_path=tmp_path / "s.json"
         )
+    with pytest.raises(ValidationError, match="qubit count list repeats 3"):
+        cmd_circuits([3, 3], out_path=tmp_path / "x.csv", session_path=tmp_path / "s.json")
+    with pytest.raises(ValidationError, match="backend list repeats local"):
+        cmd_circuits(
+            [2],
+            backends=("local", "local"),
+            out_path=tmp_path / "x.csv",
+            session_path=tmp_path / "s.json",
+        )
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_circuits_rejects_a_bad_qpu_pilot_before_any_task_runs(tmp_path):
@@ -320,6 +333,15 @@ def test_cut_rejects_bad_inputs(tmp_path):
             out_path=tmp_path / "x.csv",
             session_path=tmp_path / "s.json",
         )
+    # DuplicateTaskId is a ValidationError too, so the message tells them apart
+    with pytest.raises(ValidationError, match="worker count list repeats 2"):
+        cmd_cut(
+            [2, 2],
+            workers_list=(2, 2),
+            out_path=tmp_path / "x.csv",
+            session_path=tmp_path / "s.json",
+        )
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_a_failed_cut_run_stops_its_pilots(tmp_path):
@@ -556,6 +578,15 @@ def test_session_file_and_event_log_agree_with_the_metrics(tmp_path, command):
     if command != "gradients":
         assert metrics.tasks_done > 0
         assert replay_tallies(read_events(log))["DONE"] == metrics.tasks_done
+        session_tallies = {
+            state: payload["metrics"][f"tasks_{state.lower()}"]
+            for state in ("DONE", "FAILED", "CANCELED")
+            if payload["metrics"][f"tasks_{state.lower()}"]
+        }
+        assert replay_tallies(read_events(log)) == session_tallies
+        assert sum(session_tallies.values()) == metrics.tasks_total
+    if command == "cut":  # the snapshot is the last worker count's fleet
+        assert [p["name"] for p in payload["snapshot"]["pilots"]] == ["cut-w2"]
 
 
 # --- status ---------------------------------------------------------------------------

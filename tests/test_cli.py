@@ -189,6 +189,7 @@ def test_non_numeric_config_value_exits_one(tmp_path, monkeypatch, capsys, comma
         (("gradients", "--seed", "-1"), "validation error: "),
         (("cut", "--seed", "-1"), "validation error: "),
         (("gradients", "--log", "g.jsonl"), "error: "),
+        (("throughput", "--tasks", "4,4", "--workers", "2"), "validation error: "),
     ],
 )
 def test_bad_flag_value_exits_one(tmp_path, monkeypatch, capsys, argv, prefix):

@@ -302,6 +302,11 @@ def test_failed_attempts_retry_on_the_manager(manager):
     assert rec.attempt == 1
     assert rec.result.data == "ok"
     assert calls["n"] == 2
+    # the retried attempt is not a failed task in the pilot's counts
+    (pilot,) = manager.status_snapshot()["pilots"]
+    assert pilot["tasks_failed"] == 0
+    metrics = manager.remove_pilot("p")
+    assert (metrics.tasks_done, metrics.tasks_failed) == (1, 0)
 
 
 def test_a_function_registered_after_create_pilot_reaches_the_agent(manager):

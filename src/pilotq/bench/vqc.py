@@ -105,7 +105,8 @@ def batch_gradient(
         raise ValidationError(f"{len(features)} feature rows but {len(labels)} labels")
     ansatz = sel_circuit(n_qubits, layers, params)
     rows = len(features)
-    # ket, bra and one scratch copy per row are live during the sweep.
+    # ket, bra and one inner product's scratch, each a stack of rows, are live
+    # during the sweep.
     check_memory_cap(n_qubits, DEFAULT_MEMORY_CAP_BYTES, states=3 * rows)
 
     # RY(x)|0> = [cos(x/2), sin(x/2)]; qubit q is bit q of the flat index.

@@ -5,7 +5,8 @@ trainable angle's derivative from three live state vectors, so the memory
 ceiling sits about a factor 3 below plain expectation evaluation. For a
 rotation U(t) = exp(-i t G / 2) the derivative is dU/dt = (-i/2) G U, so at
 each trainable gate the contribution is 2 Re <bra| (-i/2) G |ket> with the
-bra/ket maintained by un-applying gates right to left.
+bra/ket maintained by un-applying gates right to left. simulate's
+pauli_inner reads G |ket> through a view of ket, so no copy of it is made.
 
 adjoint_sweep also runs on a contiguous (B, 2**n) row stack: row b holds
 the ket or bra of sample b, simulate's in-place gate API applies each gate
@@ -23,9 +24,8 @@ from pilotq.qsim.simulate import (
     DEFAULT_MEMORY_CAP_BYTES,
     apply_gate,
     apply_observable,
-    apply_pauli,
     check_memory_cap,
-    inner,
+    pauli_inner,
     run_circuit,
 )
 
@@ -59,10 +59,8 @@ def adjoint_sweep(gates, ket: np.ndarray, bra: np.ndarray, num_params: int) -> n
     for gate in reversed(gates):
         if gate.param_index is not None:
             # ket currently includes this gate, so G @ ket is G U |prefix>.
-            # The generator goes on a copy: ket itself is still needed for the sweep.
-            d_ket = ket.copy()
-            apply_pauli(d_ket, _GENERATOR[gate.name], gate.qubits[0])
-            grads[gate.param_index] += 2.0 * (inner(bra, d_ket) * (-0.5j)).real
+            generator = ((gate.qubits[0], _GENERATOR[gate.name]),)
+            grads[gate.param_index] += 2.0 * (pauli_inner(bra, ket, generator) * (-0.5j)).real
         apply_gate(ket, gate, adjoint=True)
         apply_gate(bra, gate, adjoint=True)
     return grads

@@ -4,6 +4,15 @@ States are numpy complex128 arrays of length 2**n in little-endian order
 (bit q of the flat index = qubit q). A state vector costs 16 * 2**n bytes;
 runs are refused when that does not fit strictly under the memory cap.
 
+Memory: a simulation holds its state plus a fixed scratch. A state of
+more than one chunk, `_CHUNK` = 2**16 amplitudes (1 MiB), goes through
+every gate and every readout step one chunk at a time, and a smaller one
+whole, so run_circuit and an expectation peak at the state plus about one
+chunk, and sample adds its probability vector, half a state. A row stack
+is taken whole when its rows are one chunk or less. Arrays returned to the
+caller are theirs and not counted: the state run_circuit returns, the
+vector probabilities returns.
+
 Gates are applied without BLAS, by elementwise numpy operations on one of
 two layouts of the same memory. Matrix products would go through
 OpenBLAS, which starts its own thread pool inside every agent worker
@@ -19,17 +28,23 @@ products and norms are elementwise sums for the same reason.
   amplitudes, which is long for a high qubit but only 1-32 for qubits
   0-5, where numpy's per-loop overhead made a gate cost up to five times
   what it costs on the top qubits.
-- The row view, `state.reshape(-1, 64)`, serves a gate whose qubits are
-  all below 6 on a state of at least 4096 amplitudes. Such a gate mixes
-  amplitudes only within one row of 64, so one `np.take` with a cached
-  64-entry bit-flip permutation pairs each amplitude with its partner, and
-  elementwise products with 64-entry coefficient rows combine them: inner
-  loops of 64 whatever the qubit. Its temporary is one state, like the
-  half view's swap. On smaller states the two views cost about the same
-  (within 25% either way at 256-1024 amplitudes), and a state of fewer
-  than 64 amplitudes has no row to view.
+- The row view, `state.reshape(-1, 64)`, serves most gates whose qubits
+  are all below 6 on a state of at least 4096 amplitudes. Such a gate
+  mixes amplitudes only within one row of 64, so one `np.take` with a
+  cached 64-entry bit-flip permutation pairs each amplitude with its
+  partner, and elementwise products with 64-entry coefficient rows combine
+  them: inner loops of 64 whatever the qubit. It moves or scales every
+  amplitude, so a gate that changes only some of them stays on the half
+  view where that was measured faster (`_rows_serve`). On smaller states
+  the two views cost about the same (within 25% either way at 256-1024
+  amplitudes), and a state of fewer than 64 amplitudes has no row to view.
 
-`_apply` picks the layout, and every gate application goes through it.
+`_apply` is the one entry point: a state, or stack row, of at most one
+chunk goes to the views whole, as above; a larger one goes chunk by chunk
+when the gate's qubits all lie inside a chunk, and otherwise in blocks of
+at most one chunk of the gate's (..., 2, 2**q) view. Each step's
+temporary is at most one chunk. The blocks hold the same amplitudes the
+whole-state views would pair, so the results are bit-identical.
 
 run_circuit fuses gates: each wire's consecutive one-qubit gates are
 multiplied into one 2x2, applied when a two-qubit gate touches that wire
@@ -40,11 +55,15 @@ amplitude. apply_gate and adjoint_sweep stay gate by gate.
 apply_gate and apply_pauli are the one gate API, and work in place on a
 single state or on a contiguous (B, 2**n) row stack, whose rows both views
 fold into their outer axis. Callers that need the input afterwards copy it.
+pauli_inner is the one readout sum, <bra|P|ket> for a Pauli string P,
+streamed block by block: run_circuit's norm check, expectation and the
+adjoint sweep take it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Mapping
 
@@ -95,6 +114,13 @@ def memory_bytes(num_qubits: int) -> int:
 
 
 def check_memory_cap(num_qubits: int, cap_bytes: int, states: int = 1) -> None:
+    """Refuse `states` states of num_qubits qubits unless they fit strictly
+    under cap_bytes.
+
+    One state is what a simulation holds besides its fixed scratch of at
+    most two chunks (2 MiB), which the count leaves out; arrays it returns,
+    such as a probability vector, are the caller's.
+    """
     need = states * memory_bytes(num_qubits)
     if need >= cap_bytes:
         raise MemoryCapExceeded(
@@ -125,9 +151,10 @@ def _apply_1q_view(v: np.ndarray, m: list[list[complex]], axis: int) -> None:
         v += swapped
 
 
-_ROW_QUBITS = 6  # the row view serves gates on qubits 0-5
+_ROW_QUBITS = 6  # the row view serves gates on qubits 0-5 (see _rows_serve)
 _ROW = 1 << _ROW_QUBITS  # amplitudes per row
 _ROW_MIN_AMPS = 4096  # per state: smaller states stay on the half view
+_CHUNK = 2**16  # amplitudes (1 MiB): the scratch bound of a gate or readout step
 
 
 def _row_plan(qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -178,11 +205,33 @@ def _apply_rows(rows: np.ndarray, m: list[list[complex]], qubits: tuple[int, ...
         rows += flipped
 
 
+def _rows_serve(m: list[list[complex]], qubits: tuple[int, ...]) -> bool:
+    """Whether the row view, not the half view, takes a gate on qubits 0-5.
+
+    The half view changes only what a one-sided diagonal (T, S, Z, CZ) or
+    a CNOT changes, but in inner loops of 2**lo amplitudes, lo the gate's
+    lowest qubit. Measured per gate at 2**14 and 2**16 amplitudes, that
+    wins for a one-sided diagonal on qubit 0 alone, which it reads in one
+    strided loop, for CZ with lo 0 as well, and for CNOT and CZ with lo 3
+    or more.
+    """
+    (a, b), (c, d) = m
+    diagonal = b == 0 and c == 0
+    lo = min(qubits)
+    if len(qubits) == 1:
+        return not (diagonal and (a == 1 or d == 1) and lo == 0)
+    return not (lo >= 3 or (diagonal and lo == 0))
+
+
 def _apply(state: StateVector, m: list[list[complex]], qubits: tuple[int, ...]) -> None:
     """In place: the 2x2 `m` on qubits[-1], where qubits[0] is 1 if two are
-    given. Every gate application goes through here, to the row view or the
-    half view."""
-    if state.shape[-1] >= _ROW_MIN_AMPS and max(qubits) < _ROW_QUBITS:
+    given. Every gate application goes through here: a state, or stack row,
+    of more than one chunk to `_apply_chunked`, any other to the row view
+    or the half view."""
+    width = state.shape[-1]
+    if width > _CHUNK:
+        _apply_chunked(state, m, qubits)
+    elif width >= _ROW_MIN_AMPS and max(qubits) < _ROW_QUBITS and _rows_serve(m, qubits):
         _apply_rows(state.reshape(-1, _ROW), m, qubits)
     elif len(qubits) == 1:
         _apply_1q_view(state.reshape(-1, 2, 1 << qubits[0]), m, 1)
@@ -194,6 +243,42 @@ def _apply(state: StateVector, m: list[list[complex]], qubits: tuple[int, ...]) 
             _apply_1q_view(v[:, 1], m, 2)
         else:
             _apply_1q_view(v[:, :, :, 1], m, 1)
+
+
+def _apply_chunked(state: StateVector, m: list[list[complex]], qubits: tuple[int, ...]) -> None:
+    """`_apply` on rows of more than one chunk: chunk by chunk when the
+    gate's qubits all lie inside a chunk; else a gate on a high qubit runs
+    on blocks of one chunk (`_apply_high`), and a gate controlled by a high
+    qubit applies its 2x2 to the target in each half where the control is 1.
+    """
+    if 2 << max(qubits) <= _CHUNK:
+        for chunk in state.reshape(-1, _CHUNK):
+            _apply(chunk, m, qubits)
+    elif len(qubits) == 1:
+        _apply_high(state, m, qubits[0], None)
+    elif qubits[0] > qubits[1]:
+        control, target = qubits
+        for half in state.reshape(-1, 2, 1 << control)[:, 1]:
+            _apply(half, m, (target,))
+    else:
+        _apply_high(state, m, qubits[1], qubits[0])
+
+
+def _apply_high(
+    state: StateVector, m: list[list[complex]], target: int, control: int | None
+) -> None:
+    """In place: the 2x2 `m` on a qubit whose halves lie a chunk or more
+    apart, where the lower `control` is 1 if one is given. Runs on blocks of
+    the (..., 2, 2**target) view holding at most one chunk."""
+    run = _CHUNK // 2  # amplitudes per half of a block
+    for pair in state.reshape(-1, 2, 1 << target):
+        for j in range(0, 1 << target, run):
+            block = pair[:, j : j + run]
+            if control is not None and 2 << control <= run:  # a bit inside the block
+                block = block.reshape(2, -1, 2, 1 << control)[:, :, 1]
+            elif control is not None and not (j >> control) & 1:  # 0 across the block
+                continue
+            _apply_1q_view(block, m, 0)
 
 
 def _rows_of(gate) -> list[list[complex]]:
@@ -248,58 +333,143 @@ def run_circuit(circuit: Circuit, *, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_
         _apply(state, m, gate.qubits)
     for q, m in pending.items():
         _apply(state, m, (q,))
-    norm = math.sqrt(inner(state, state).real)
+    norm = math.sqrt(pauli_inner(state, state).real)
     if abs(norm - 1.0) > 1e-9:
         raise RuntimeError(f"state norm drifted to {norm}")
     return state
 
 
 def apply_observable(state: StateVector, observable: PauliObservable) -> StateVector:
-    """Return observable @ state (sum of Pauli-string applications)."""
-    acc = np.zeros_like(state)
+    """Return observable @ state (sum of Pauli-string applications).
+
+    The first term becomes the result, so besides the state it holds the
+    result and, for each later term, that term's copy.
+    """
+    acc = None
     for coeff, string in observable.terms:
         term = state.copy()
         for q, letter in enumerate(string):
             if letter != "I":
                 apply_pauli(term, letter, q)
         term *= coeff
-        acc += term
+        if acc is None:
+            acc = term
+        else:
+            acc += term
     return acc
 
 
 def expectation(state: StateVector, observable: PauliObservable) -> float:
+    """<state|observable|state>, one `pauli_inner` per term."""
     num_qubits = int(round(math.log2(state.size)))
     if observable.num_qubits != num_qubits:
         raise ValidationError(
             f"observable is on {observable.num_qubits} qubits, state has {num_qubits}"
         )
-    return inner(state, apply_observable(state, observable)).real
+    total = 0.0
+    for coeff, string in observable.terms:
+        paulis = tuple((q, letter) for q, letter in enumerate(string) if letter != "I")
+        total += coeff * pauli_inner(state, state, paulis).real
+    return total
 
 
-def inner(bra: StateVector, ket: StateVector) -> complex:
-    """<bra|ket> as an elementwise sum (np.vdot would call BLAS zdotc).
+@functools.lru_cache(maxsize=256)
+def _pauli_plan(paulis: tuple[tuple[int, str], ...], size: int) -> tuple:
+    """How `pauli_inner` reads a block of `size` amplitudes, a power of two.
 
-    Uses one temporary the size of a state.
+    Each qubit below log2(size) that `paulis` acts on gets an axis of 2 in
+    the view `shape`, (-1, gap, 2, gap, 2, ..., gap): `flip` reverses the
+    X and Y axes (None when there are none), and `signs` indexes the 1 half
+    of each Y and Z axis. A higher qubit is a bit of the block index:
+    `xhigh` flips the X and Y bits to find the partner block, and the
+    parity of the block index's `zhigh` bits (Y and Z) negates its sum.
+    `phase` is (-i)**(number of Y).
     """
-    products = bra.conj()
-    products *= ket
+    k = size.bit_length() - 1
+    shape, flip, axes = [-1], [slice(None)], []
+    top, xhigh, zhigh = k, 0, 0
+    for q, letter in sorted(paulis, reverse=True):
+        if q >= k:
+            xhigh |= (letter in "XY") << (q - k)
+            zhigh |= (letter in "YZ") << (q - k)
+            continue
+        shape += [1 << (top - q - 1), 2]
+        flip += [slice(None), slice(None, None, -1) if letter in "XY" else slice(None)]
+        if letter in "YZ":
+            axes.append(len(shape) - 1)
+        top = q
+    shape.append(1 << top)
+    flip.append(slice(None))
+    flip = tuple(flip) if any(f.step for f in flip) else None
+    signs = tuple((slice(None),) * axis + (1,) for axis in axes)
+    phase = (1, -1j, -1, 1j)[sum(letter == "Y" for _, letter in paulis) % 4]
+    return tuple(shape), flip, signs, xhigh, zhigh, phase
+
+
+def _block_sum(bra: np.ndarray, ket: np.ndarray, shape, flip, signs) -> complex:
+    """sum(conj(bra) * (P ket)) over one block, for the qubits of P inside
+    it, as `_pauli_plan` lays them out; conj(bra) is the only temporary."""
+    products = bra.conj().reshape(shape)
+    products *= ket.reshape(shape) if flip is None else ket.reshape(shape)[flip]
+    for half in signs:
+        products[half] *= -1
     return complex(products.sum())
 
 
+def pauli_inner(
+    bra: StateVector, ket: StateVector, paulis: tuple[tuple[int, str], ...] = ()
+) -> complex:
+    """<bra|P|ket>, summed over the rows of a stack, for the Pauli string P
+    given as (qubit, letter) pairs with letters X, Y, Z (none: <bra|ket>).
+
+    (P ket)[k] = phase * (-1)**popcount(k & z) * ket[k ^ x], where x holds
+    the X and Y qubits and z the Y and Z qubits, so the sum needs no copy of
+    ket: it multiplies conj(bra) by a view of ket with the X and Y axes
+    reversed. It is elementwise (np.vdot would call BLAS zdotc) and takes
+    the whole state or stack at once when a row holds at most one chunk,
+    else one chunk at a time, pairing chunk i with chunk i ^ (x's high bits).
+    """
+    width = bra.shape[-1]
+    shape, flip, signs, xhigh, zhigh, phase = _pauli_plan(paulis, min(width, _CHUNK))
+    if width <= _CHUNK:
+        return _block_sum(bra, ket, shape, flip, signs) * phase
+    bras, kets = bra.reshape(-1, _CHUNK), ket.reshape(-1, _CHUNK)
+    total = 0j
+    for i, block in enumerate(bras):
+        part = _block_sum(block, kets[i ^ xhigh], shape, flip, signs)
+        total += -part if (i & zhigh).bit_count() % 2 else part
+    return total * phase
+
+
 def probabilities(state: StateVector) -> np.ndarray:
-    probs = np.abs(state) ** 2
-    return probs / probs.sum()
+    probs = np.abs(state)
+    probs **= 2
+    probs /= probs.sum()
+    return probs
 
 
 def sample(state: StateVector, shots: int, seed: int) -> dict[str, int]:
-    """Measure all qubits `shots` times; keys are little-endian bitstrings."""
+    """Measure all qubits `shots` times; keys are little-endian bitstrings.
+
+    Draws as `rng.choice(state.size, shots, p=probabilities(state))` does,
+    step by step, in the probability array itself: the counts are the same
+    for every seed, without choice's copies of the vector.
+    """
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     num_qubits = int(round(math.log2(state.size)))
-    rng = np.random.default_rng(seed)
-    outcomes = rng.choice(state.size, size=shots, p=probabilities(state))
-    values, counts = np.unique(outcomes, return_counts=True)
-    return {bitstring(int(v), num_qubits): int(c) for v, c in zip(values, counts)}
+    cdf = probabilities(state)
+    np.cumsum(cdf, out=cdf)
+    if not (math.isfinite(cdf[-1]) and cdf[-1] > 0):
+        raise ValueError(f"probabilities sum to {cdf[-1]}, not a finite positive total")
+    cdf /= cdf[-1]
+    uniform = np.random.default_rng(seed).random(shots)
+    values, counts = np.unique(cdf.searchsorted(uniform, side="right"), return_counts=True)
+    # Bit q of each outcome is character q of its key, decoded in one call.
+    digits = ((values[:, None] >> np.arange(num_qubits)) & 1) + ord("0")
+    text = digits.astype(np.uint8).tobytes().decode("ascii")
+    keys = [text[i : i + num_qubits] for i in range(0, len(text), num_qubits)]
+    return dict(zip(keys, counts.tolist()))
 
 
 def bitstring(index: int, num_qubits: int) -> str:

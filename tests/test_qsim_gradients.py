@@ -4,12 +4,15 @@ central_fd below is the oracle: simulate at shifted angles and difference.
 It exercises only run_circuit/expectation, never the adjoint sweep.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pilotq.errors import MemoryCapExceeded, ValidationError
 from pilotq.qsim.circuit import Circuit, Gate, PauliObservable, sel_circuit
 from pilotq.qsim.gradients import adjoint_gradient
+from pilotq.qsim import simulate
 from pilotq.qsim.simulate import expectation, memory_bytes, run_circuit
 
 FD_H = 1e-5
@@ -114,6 +117,20 @@ def test_gradient_needs_three_states_under_the_cap():
     adjoint_gradient(circ, obs, memory_cap_bytes=4 * memory_bytes(4))
     with pytest.raises(MemoryCapExceeded):
         adjoint_gradient(circ, obs, memory_cap_bytes=3 * memory_bytes(4))
+
+
+def test_gradient_holds_the_three_states_it_is_capped_for():
+    n = 17
+    gates = (Gate("H", (0,)), Gate("RX", (0,), 0.3, param_index=0), Gate("CNOT", (0, n - 1)))
+    gates += (Gate("RY", (n - 1,), 0.7, param_index=1), Gate("RZ", (3,), 0.2, param_index=2))
+    obs = PauliObservable(terms=((1.0, "Z" + "I" * (n - 1)), (0.5, "I" * (n - 1) + "X")))
+    tracemalloc.start()
+    try:
+        adjoint_gradient(Circuit(n, gates), obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * memory_bytes(n) + 2 * 16 * simulate._CHUNK
 
 
 def test_gradient_rejects_width_mismatch():

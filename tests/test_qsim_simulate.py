@@ -1,6 +1,7 @@
 """Simulator checked against the dense-matrix oracle in helpers.py."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from helpers import (
     oracle_expectation,
     oracle_rotation,
     oracle_run,
+    pauli_string_matrix,
 )
+from pilotq.backends import simulate_readout
 from pilotq.errors import MemoryCapExceeded, ValidationError
 from pilotq.qsim import simulate
 from pilotq.qsim.circuit import (
@@ -34,6 +37,7 @@ from pilotq.qsim.simulate import (
     expectation,
     gate_matrix,
     memory_bytes,
+    pauli_inner,
     probabilities,
     run_circuit,
     sample,
@@ -188,6 +192,54 @@ def test_run_circuit_applies_each_wire_run_once(monkeypatch):
     assert calls == [(0,), (0, 2), (1,), (0,)]
 
 
+# --- chunked kernels ------------------------------------------------------------------
+#
+# With 64-amplitude chunks, states of 10-12 qubits take every chunked path that
+# states above 16 qubits take with the default chunk: gates inside a chunk, gates
+# on a high qubit, and CNOT/CZ controlled from above or below the chunk boundary,
+# with the control inside a block's run (qubits 0-4) or fixed across it (5 up).
+
+SMALL_CHUNK = 2**6
+
+
+def _boundary_pairs(n: int) -> list[tuple[int, int]]:
+    wires = (0, 3, 4, 5, 6, 7, n - 1)
+    return [(a, b) for a in wires for b in wires if a != b]
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_small_chunks_give_bit_identical_run_circuit_states(n, monkeypatch):
+    layers = list(random_circuit(n, 4, seed=n).gates)
+    crossing = [Gate(name, pair) for pair in _boundary_pairs(n) for name in ("CNOT", "CZ")]
+    ones = [
+        Gate(name, (q,), 0.9 if name.startswith("R") else None)
+        for q in range(n)
+        for name in ONE_QUBIT_GATES
+    ]
+    circuit = Circuit(n, tuple(layers + crossing + ones + crossing[::-1] + layers))
+    want = run_circuit(circuit)
+    monkeypatch.setattr(simulate, "_CHUNK", SMALL_CHUNK)
+    assert np.array_equal(run_circuit(circuit), want)
+
+
+def test_small_chunks_give_bit_identical_row_stacks(monkeypatch):
+    n = 11
+    gates = [Gate(name, pair) for pair in _boundary_pairs(n) for name in ("CNOT", "CZ")]
+    gates += [
+        Gate(name, (q,), 0.4 if name.startswith("R") else None)
+        for q in range(n)
+        for name in ONE_QUBIT_GATES
+    ]
+    want = _random_states(3, n, seed=5)
+    got = want.copy()
+    for gate in gates:
+        apply_gate(want, gate)
+    monkeypatch.setattr(simulate, "_CHUNK", SMALL_CHUNK)
+    for gate in gates:
+        apply_gate(got, gate)
+    assert np.array_equal(got, want)
+
+
 def test_adjoint_application_inverts_the_gate():
     n = 2
     state = zero_state(n)
@@ -241,6 +293,37 @@ def test_expectation_matches_the_dense_observable(seed):
     assert expectation(state, obs) == pytest.approx(oracle_expectation(state, obs), abs=1e-10)
 
 
+@pytest.mark.parametrize("chunk", [None, 2**3])
+def test_streaming_expectation_matches_the_dense_observable(chunk, monkeypatch):
+    if chunk:  # 8-amplitude blocks: qubits 3-5 pair and sign whole blocks
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    state = run_circuit(random_circuit(6, 6, seed=4))
+    for terms in (
+        ((1.0, "IIIIII"),),
+        ((0.5, "ZIIIII"), (-1.25, "IIIIIZ"), (2.0, "IZZIZI")),
+        ((0.7, "XIIIII"), (-0.4, "IIIIXI"), (1.5, "XIIXIX")),
+        ((1.1, "YIIIII"), (0.3, "IIIIIY"), (-0.8, "YIYIII")),
+        ((0.9, "XYZIZY"), (-1.7, "ZXIYIX"), (0.6, "IIIIII"), (1.3, "YYYYYY")),
+    ):
+        obs = PauliObservable(terms=terms)
+        assert expectation(state, obs) == pytest.approx(oracle_expectation(state, obs), abs=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [None, 2**3])
+def test_pauli_inner_sums_over_the_rows_of_a_stack(chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    bra, ket = _random_states(3, 6, seed=1), _random_states(3, 6, seed=2)
+    cases = ((), ((0, "X"),), ((5, "Y"),), ((2, "Z"), (4, "X")), ((0, "Y"), (3, "Y"), (5, "Z")))
+    for paulis in cases:
+        string = "".join(dict(paulis).get(q, "I") for q in range(6))
+        dense = pauli_string_matrix(string)
+        want = sum(np.vdot(b, dense @ k) for b, k in zip(bra, ket))
+        assert pauli_inner(bra, ket, paulis) == pytest.approx(want, abs=1e-12)
+        one = np.vdot(bra[1], dense @ ket[1])
+        assert pauli_inner(bra[1], ket[1], paulis) == pytest.approx(one, abs=1e-12)
+
+
 def test_expectation_of_z_on_one_is_minus_one():
     circ = Circuit(1, (Gate("X", (0,)),))
     state = run_circuit(circ)
@@ -276,6 +359,22 @@ def test_sampling_is_deterministic_per_seed():
 def test_sample_rejects_zero_shots():
     with pytest.raises(ValidationError):
         sample(zero_state(1), 0, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 12])
+def test_sample_draws_what_choice_draws_and_keys_them_by_bitstring(n):
+    state = _random_states(1, n, seed=n)[0]
+    for seed in range(6):
+        draws = np.random.default_rng(seed).choice(state.size, size=777, p=probabilities(state))
+        values, counts = np.unique(draws, return_counts=True)
+        want = {bitstring(int(v), n): int(c) for v, c in zip(values, counts)}
+        assert sample(state, 777, seed) == want
+
+
+def test_sample_refuses_a_state_without_a_finite_positive_total():
+    for amplitudes in ([0, 0, 0, 0], [np.nan, 0, 1, 0], [np.inf, 0, 1, 0]):
+        with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(ValueError):
+            sample(np.array(amplitudes, dtype=complex), 10, seed=0)
 
 
 def test_bitstring_is_little_endian():
@@ -326,6 +425,26 @@ def test_default_cap_admits_26_qubits_and_refuses_27():
     check_memory_cap(26, DEFAULT_MEMORY_CAP_BYTES)
     with pytest.raises(MemoryCapExceeded):
         check_memory_cap(27, DEFAULT_MEMORY_CAP_BYTES)
+
+
+def _peak_bytes(work) -> int:
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_simulation_holds_its_state_plus_bounded_scratch():
+    n = 17
+    circuit = random_circuit(n, 10, seed=3)
+    observable = PauliObservable.single(n, {0: "Z"})
+    bound = memory_bytes(n) + 2 * 16 * simulate._CHUNK
+    assert _peak_bytes(lambda: run_circuit(circuit)) <= bound
+    assert _peak_bytes(lambda: simulate_readout(circuit, 0, 1, observable)) <= bound
+    # sampling adds its probability vector, half a state
+    assert _peak_bytes(lambda: simulate_readout(circuit, 1024, 1)) <= bound + memory_bytes(n) // 2
 
 
 def test_run_circuit_enforces_the_cap():

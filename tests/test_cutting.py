@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import local_desc, oracle_expectation, oracle_run, qpu_desc
+from pilotq.backends import simulate_readout
 from pilotq.cutting import (
     MEASURE_BASES,
     PREP_LABELS,
@@ -34,6 +35,7 @@ from pilotq.errors import (
     WidthExceeded,
 )
 from pilotq.manager import PilotManager
+from pilotq.qsim import simulate
 from pilotq.qsim.circuit import Circuit, Gate, PauliObservable
 from pilotq.qsim.simulate import expectation, probabilities, run_circuit, sample
 
@@ -337,6 +339,27 @@ def test_ten_cuts_reconstruct_exactly():
     for sub in subs:
         values.update(fragment_values(sub, probabilities=probabilities(run_circuit(sub.circuit))))
     assert reconstruct(terms, values) == pytest.approx(expectation(run_circuit(circ), obs), abs=1e-9)
+
+
+def test_list_states_give_the_fragment_readouts_of_numpy_states(monkeypatch):
+    # The 81 subexperiments of the benchmark's cut solve run on 3-4 qubits, which
+    # run_circuit keeps as lists; with _SMALL_QUBITS = 0 they take the numpy views.
+    circ = clustered_circuit([3] * 6, reps=2, seed=0)
+    obs = PauliObservable.single(18, {0: "Z", 17: "Z"})
+    subs, _ = generate_subexperiments(find_cuts(circ, obs, max_width=4))
+    assert len(subs) == 81
+    assert max(sub.circuit.num_qubits for sub in subs) <= simulate._SMALL_QUBITS
+
+    def readouts():
+        probs = [simulate_readout(sub.circuit, 0, 0).probabilities for sub in subs]
+        counts = [simulate_readout(sub.circuit, 512, seed).counts for sub in subs for seed in range(5)]
+        return probs, counts
+
+    probs, counts = readouts()
+    monkeypatch.setattr(simulate, "_SMALL_QUBITS", 0)
+    want_probs, want_counts = readouts()
+    assert max(np.max(np.abs(np.subtract(p, w))) for p, w in zip(probs, want_probs)) <= 1e-15
+    assert counts == want_counts
 
 
 def test_identity_observable_reconstructs_to_its_coefficient():

@@ -161,7 +161,7 @@ def _gate_by_gate(circuit: Circuit) -> np.ndarray:
     return state
 
 
-@pytest.mark.parametrize("n", [5, WIDE])
+@pytest.mark.parametrize("n", [5, 6, WIDE])
 def test_fused_run_circuit_matches_gate_by_gate_application(n):
     gates = [
         Gate("H", (0,)), Gate("H", (1,)), Gate("H", (2,)), Gate("H", (n - 1,)),
@@ -175,6 +175,23 @@ def test_fused_run_circuit_matches_gate_by_gate_application(n):
     for circuit in (Circuit(n, tuple(gates)), random_circuit(n, 10, seed=n)):
         got, want = run_circuit(circuit), _gate_by_gate(circuit)
         assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_gate_kind_in_run_circuit_matches_gate_by_gate_application(n):
+    # run_circuit keeps states of at most 2**_SMALL_QUBITS amplitudes as lists; 6 qubits
+    # is the first width on numpy views. A CZ after each one-qubit gate applies that gate
+    # on its own rather than fused with the next one on its wire.
+    assert simulate._SMALL_QUBITS == 5
+    gates = [Gate("H", (q,)) for q in range(n)] + [Gate("RY", (q,), 0.3 + 0.4 * q) for q in range(n)]
+    for name in ONE_QUBIT_GATES:
+        for q in range(n):
+            gates.append(Gate(name, (q,), 0.9 if name.startswith("R") else None))
+            if n > 1:
+                gates.append(Gate("CZ", (q, (q + 1) % n)))
+    gates += [Gate(name, (c, t)) for name in ("CNOT", "CZ") for c in range(n) for t in range(n) if c != t]
+    circuit = Circuit(n, tuple(gates))
+    assert np.max(np.abs(run_circuit(circuit) - _gate_by_gate(circuit))) <= 1e-15
 
 
 def test_run_circuit_applies_each_wire_run_once(monkeypatch):

@@ -13,33 +13,52 @@ is taken whole when its rows are one chunk or less. Arrays returned to the
 caller are theirs and not counted: the state run_circuit returns, the
 vector probabilities returns.
 
-Gates are applied without BLAS, by elementwise numpy operations on one of
-two layouts of the same memory. Matrix products would go through
-OpenBLAS, which starts its own thread pool inside every agent worker
-thread and oversubscribes the cores that the workers already share. Inner
-products and norms are elementwise sums for the same reason.
+Gates are applied without BLAS, by elementwise numpy operations on views
+of the state's memory. Matrix products would go through OpenBLAS, which
+starts its own thread pool inside every agent worker thread and
+oversubscribes the cores that the workers already share. Inner products
+and norms are elementwise sums for the same reason.
 
-- The half view, `state.reshape(-1, 2, 2**q)` for a gate on qubit q,
-  serves every gate on qubit 6 or above, and every gate on a state of
-  fewer than 4096 amplitudes. Diagonal gates scale one half in place,
-  X-like gates swap the halves, and any other gate is a weighted sum of
-  the two. CNOT and CZ are the X and Z kernels on the half where the
-  control is 1. Each call's inner loop runs over 2**q contiguous
-  amplitudes, which is long for a high qubit but only 1-32 for qubits
-  0-5, where numpy's per-loop overhead made a gate cost up to five times
-  what it costs on the top qubits.
-- The row view, `state.reshape(-1, 64)`, serves most gates whose qubits
-  are all below 6 on a state of at least 4096 amplitudes. Such a gate
-  mixes amplitudes only within one row of 64, so one `np.take` with a
-  cached 64-entry bit-flip permutation pairs each amplitude with its
-  partner, and elementwise products with 64-entry coefficient rows combine
-  them: inner loops of 64 whatever the qubit. It moves or scales every
-  amplitude, so a gate that changes only some of them stays on the half
-  view where that was measured faster (`_rows_serve`). On smaller states
-  the two views cost about the same (within 25% either way at 256-1024
-  amplitudes), and a state of fewer than 64 amplitudes has no row to view.
+`_apply` is the one entry point, and one rule picks the layout: the
+state's type, its row width (its length, or a stack row's) and the gate's
+qubits, never the gate's kind.
 
-A third layout serves run_circuit alone, on states of at most
+- A list state goes to `_apply_small` (below).
+- A row of more than one chunk goes chunk by chunk when the gate's qubits
+  all lie inside a chunk, and otherwise in blocks of at most one chunk of
+  the gate's (..., 2, 2**q) view. Each step's temporary is at most one
+  chunk. The blocks hold the same amplitudes the whole-state views would
+  pair, so the results are bit-identical.
+- A row of at least 64 amplitudes, for a gate whose qubits are all below
+  6, takes the row view, `state.reshape(-1, 64)`. Such a gate mixes
+  amplitudes only within one row of 64, so one `np.take` with a cached
+  64-entry bit-flip permutation pairs each amplitude with its partner, and
+  elementwise products with 64-entry coefficient rows combine them: inner
+  loops of 64 whatever the qubit.
+- Any other gate takes the half view, `state.reshape(-1, 2, 2**q)` for a
+  gate on qubit q. Diagonal gates scale one half in place, X-like gates
+  swap the halves, and any other gate is a weighted sum of the two. CNOT
+  and CZ are the X and Z kernels on the half where the control is 1. Each
+  call's inner loop runs over 2**q contiguous amplitudes: long for a high
+  qubit, but only 1-32 for qubits 0-5, where numpy's per-loop overhead
+  made a gate cost up to five times what it costs on the top qubits.
+
+The row view moves or scales every amplitude, so a gate that changes only
+some of them costs more there than on the half view: at 16 qubits, T on
+qubit 0 takes about 100 us against 40 us, CNOT(4, 5) about 170 us against
+90 us. After fusion the workloads' gates seldom take that form: sending
+them to the half view by kind gained the `circuits` benchmark about 1% in
+the median of ten alternated runs, less than the spread between runs.
+Calls per layout in one measured round of each perfbench workload (seed 0):
+
+    layout               circuits   cut   vqc
+    list                        0  1196     0
+    row view                 1515     0     0
+    half view                2214     0  1536   (vqc: (25, 16) stacks)
+    chunk by chunk, 18q       409     0     0
+    high-qubit blocks, 18q     50     0     0
+
+The list layout serves run_circuit alone, on states of at most
 2**`_SMALL_QUBITS` = 32 amplitudes: the state is a Python list of complex,
 each gate runs pair by pair over a cached tuple of (i, i | 2**target)
 index pairs, with the half view's diagonal, X-like and general cases, and
@@ -55,14 +74,6 @@ run_circuit on the numpy views against the list, on a 2-vCPU host:
 
 The list and the views round differently: on those circuits, states
 differed by at most 2.6e-16 per amplitude.
-
-`_apply` is the one entry point: a list state goes to `_apply_small`; a
-state, or stack row, of at most one chunk goes to the views whole, as
-above; a larger one goes chunk by chunk when the gate's qubits all lie
-inside a chunk, and otherwise in blocks of at most one chunk of the
-gate's (..., 2, 2**q) view. Each step's temporary is at most one chunk.
-The blocks hold the same amplitudes the whole-state views would pair, so
-the results are bit-identical.
 
 run_circuit fuses gates: each wire's consecutive one-qubit gates are
 multiplied into one 2x2, applied when a two-qubit gate touches that wire
@@ -121,12 +132,6 @@ def _rotation_rows(name: str, angle: float) -> list[list[complex]]:
     raise ValidationError(f"not a rotation gate: {name}")
 
 
-def gate_matrix(name: str, param: float | None = None) -> np.ndarray:
-    """The 2x2 matrix of a one-qubit gate (of CNOT and CZ: on the target)."""
-    rows = _FIXED_ROWS[name] if name in _FIXED_ROWS else _rotation_rows(name, param)
-    return np.array(rows, dtype=complex)
-
-
 def memory_bytes(num_qubits: int) -> int:
     """Bytes needed for one dense state of num_qubits qubits."""
     return 16 * (2**num_qubits)
@@ -170,12 +175,12 @@ def _apply_1q_view(v: np.ndarray, m: list[list[complex]], axis: int) -> None:
         v += swapped
 
 
-_ROW_QUBITS = 6  # the row view serves gates on qubits 0-5 (see _rows_serve)
+_ROW_QUBITS = 6  # the row view serves gates on qubits 0-5
 _ROW = 1 << _ROW_QUBITS  # amplitudes per row
-_ROW_MIN_AMPS = 4096  # per state: smaller states stay on the half view
 _CHUNK = 2**16  # amplitudes (1 MiB): the scratch bound of a gate or readout step
 
 
+@functools.cache
 def _row_plan(qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(key, perm) over one row, for a gate on `qubits` (target last).
 
@@ -192,13 +197,6 @@ def _row_plan(qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(key), np.array(perm)
 
 
-_ROW_PLANS = {
-    qubits: _row_plan(qubits)
-    for qubits in [(q,) for q in range(_ROW_QUBITS)]
-    + [(c, t) for c in range(_ROW_QUBITS) for t in range(_ROW_QUBITS) if c != t]
-}
-
-
 def _apply_rows(rows: np.ndarray, m: list[list[complex]], qubits: tuple[int, ...]) -> None:
     """In place on (R, 64) rows: row[i] <- diag[i] * row[i] + off[i] * row[perm[i]].
 
@@ -208,7 +206,7 @@ def _apply_rows(rows: np.ndarray, m: list[list[complex]], qubits: tuple[int, ...
     for X-like gates, whose diag is all zero.
     """
     (a, b), (c, d) = m
-    key, perm = _ROW_PLANS[qubits]
+    key, perm = _row_plan(qubits)
     if b == 0 and c == 0:  # diagonal: one product
         if a != 1 or d != 1:
             rows *= np.array([1, 1, a, d])[key]
@@ -222,24 +220,6 @@ def _apply_rows(rows: np.ndarray, m: list[list[complex]], qubits: tuple[int, ...
         flipped *= np.array([0, 0, b, c])[key]
         rows *= np.array([1, 1, a, d])[key]
         rows += flipped
-
-
-def _rows_serve(m: list[list[complex]], qubits: tuple[int, ...]) -> bool:
-    """Whether the row view, not the half view, takes a gate on qubits 0-5.
-
-    The half view changes only what a one-sided diagonal (T, S, Z, CZ) or
-    a CNOT changes, but in inner loops of 2**lo amplitudes, lo the gate's
-    lowest qubit. Measured per gate at 2**14 and 2**16 amplitudes, that
-    wins for a one-sided diagonal on qubit 0 alone, which it reads in one
-    strided loop, for CZ with lo 0 as well, and for CNOT and CZ with lo 3
-    or more.
-    """
-    (a, b), (c, d) = m
-    diagonal = b == 0 and c == 0
-    lo = min(qubits)
-    if len(qubits) == 1:
-        return not (diagonal and (a == 1 or d == 1) and lo == 0)
-    return not (lo >= 3 or (diagonal and lo == 0))
 
 
 _SMALL_QUBITS = 5  # run_circuit keeps states of at most 2**5 amplitudes as lists
@@ -285,16 +265,18 @@ def _apply(
     state: StateVector | list[complex], m: list[list[complex]], qubits: tuple[int, ...]
 ) -> None:
     """In place: the 2x2 `m` on qubits[-1], where qubits[0] is 1 if two are
-    given. Every gate application goes through here: a list state to
-    `_apply_small`, a state, or stack row, of more than one chunk to
-    `_apply_chunked`, any other to the row view or the half view."""
+    given. Every gate application goes through here, and the layout follows
+    from the state's type, its row width and the gate's qubits alone: a list
+    state to `_apply_small`, a row of more than one chunk to
+    `_apply_chunked`, a row of at least 64 amplitudes, for a gate on qubits
+    0-5, to the row view, and any other to the half view."""
     if type(state) is list:
         _apply_small(state, m, qubits)
         return
     width = state.shape[-1]
     if width > _CHUNK:
         _apply_chunked(state, m, qubits)
-    elif width >= _ROW_MIN_AMPS and max(qubits) < _ROW_QUBITS and _rows_serve(m, qubits):
+    elif width >= _ROW and max(qubits) < _ROW_QUBITS:
         _apply_rows(state.reshape(-1, _ROW), m, qubits)
     elif len(qubits) == 1:
         _apply_1q_view(state.reshape(-1, 2, 1 << qubits[0]), m, 1)

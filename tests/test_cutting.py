@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import local_desc, oracle_expectation, oracle_run, qpu_desc
+from helpers import ORACLE_FIXED, local_desc, oracle_expectation, oracle_run, qpu_desc
 from pilotq.backends import simulate_readout
 from pilotq.cutting import (
     MEASURE_BASES,
@@ -105,9 +105,7 @@ def test_basis_rotations_diagonalize_their_pauli():
     for basis in MEASURE_BASES:
         rot = np.eye(2, dtype=complex)
         for name in _BASIS_ROTATIONS[basis]:
-            from pilotq.qsim.simulate import gate_matrix
-
-            rot = gate_matrix(name) @ rot
+            rot = ORACLE_FIXED[name] @ rot
         # R P R^dag must be Z: rotated pauli measures in the computational basis
         assert np.allclose(rot @ _P[basis] @ rot.conj().T, _P["Z"], atol=1e-12)
 

@@ -35,7 +35,6 @@ from pilotq.qsim.simulate import (
     check_memory_cap,
     counts_probabilities,
     expectation,
-    gate_matrix,
     memory_bytes,
     pauli_inner,
     probabilities,
@@ -43,20 +42,6 @@ from pilotq.qsim.simulate import (
     sample,
     zero_state,
 )
-
-
-def test_every_gate_matrix_is_unitary():
-    rng = np.random.default_rng(3)
-    for name in ("H", "X", "Y", "Z", "S", "T"):
-        m = gate_matrix(name)
-        assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
-    for name in ("RX", "RY", "RZ"):
-        theta = float(rng.uniform(0, 2 * math.pi))
-        m = gate_matrix(name, theta)
-        assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
-        assert np.allclose(m, oracle_rotation(name, theta), atol=1e-12)
-    for name, mat in ORACLE_FIXED.items():
-        assert np.allclose(gate_matrix(name), mat, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["H", "X", "Y", "Z", "S", "T", "RX", "RY", "RZ"])
@@ -90,10 +75,12 @@ def test_two_qubit_gates_match_index_constructed_matrices(name, pair):
 
 # --- both layouts against a tensordot oracle ----------------------------------------
 #
-# A 13-qubit state has 8192 amplitudes, so gates on qubits 0-5 take the row view
-# and gates on qubits 6-12 the half view; a (3, 2**13) stack takes the same.
+# A state of 7 or 13 qubits has rows of 64 amplitudes, so gates on qubits 0-5 take
+# the row view and gates on qubits 6 and up the half view; a (3, 2**n) stack takes
+# the same.
 
 WIDE = 13
+LAYOUT_WIDTHS = (7, WIDE)
 ONE_QUBIT_GATES = ["H", "X", "Y", "Z", "S", "T", "RX", "RY", "RZ"]
 
 
@@ -131,9 +118,9 @@ def _random_states(rows: int, n: int, seed: int) -> np.ndarray:
     return states / np.linalg.norm(states, axis=1, keepdims=True)
 
 
-def _check_layouts(gates, seed):
-    for rows in (None, 3):  # one state, then a (3, 2**13) row stack
-        states = _random_states(rows or 1, WIDE, seed)
+def _check_layouts(n, gates, seed):
+    for rows in (None, 3):  # one state, then a (3, 2**n) row stack
+        states = _random_states(rows or 1, n, seed)
         for gate in gates:
             for adjoint in (False, True):
                 got = states.copy() if rows else states[0].copy()
@@ -145,13 +132,15 @@ def _check_layouts(gates, seed):
 @pytest.mark.parametrize("name", ONE_QUBIT_GATES)
 def test_every_one_qubit_gate_on_every_wide_qubit_matches_tensordot(name):
     param = 0.731 if name.startswith("R") else None
-    _check_layouts([Gate(name, (q,), param) for q in range(WIDE)], seed=len(name))
+    for n in LAYOUT_WIDTHS:
+        _check_layouts(n, [Gate(name, (q,), param) for q in range(n)], seed=len(name))
 
 
 @pytest.mark.parametrize("name", ["CNOT", "CZ"])
 def test_controlled_gates_on_every_ordered_wide_pair_match_tensordot(name):
-    pairs = [(c, t) for c in range(WIDE) for t in range(WIDE) if c != t]
-    _check_layouts([Gate(name, pair) for pair in pairs], seed=len(name))
+    for n in LAYOUT_WIDTHS:
+        pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+        _check_layouts(n, [Gate(name, pair) for pair in pairs], seed=len(name))
 
 
 def _gate_by_gate(circuit: Circuit) -> np.ndarray:

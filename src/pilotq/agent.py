@@ -24,6 +24,15 @@ wait out granted_at_s via `clock.wait_until` (the first through logs
 agent_ready), so an idle pilot moves no virtual time. Then it waits for
 runnable work with no timeout, as each change that can end a wait
 notifies. The agent refuses dispatch after expires_at_s.
+
+A classical task calls its registered function through
+`backends.run_registered`. A module-level function of an importable module
+other than `__main__` runs in a host worker process, so two workers' Python
+code does not take turns on one interpreter lock; it sees pickled copies of
+its arguments, not the caller's memory. Any other function runs in this
+worker thread. Circuit simulation always runs in the worker thread. Either
+way exec_s covers the whole call, including the wait for a host process and
+the pipe round trip.
 """
 
 from __future__ import annotations
@@ -33,7 +42,13 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, replace
 
-from pilotq.backends import PilotAllocation, ResourceBackend, run_timed, simulate_readout
+from pilotq.backends import (
+    PilotAllocation,
+    ResourceBackend,
+    run_registered,
+    run_timed,
+    simulate_readout,
+)
 from pilotq.clock import Clock, WallClock
 from pilotq.codec import JsonRecord
 from pilotq.errors import AgentStopped, ValidationError, WorkerOversubscription
@@ -282,7 +297,9 @@ class PilotAgent:
             fn = self._functions.get(payload.function)
             if fn is None:
                 raise ValidationError(f"no registered function named {payload.function!r}")
-            data, exec_s = run_timed(self._clock, latency, fn, *payload.args, **payload.kwargs)
+            data, exec_s = run_timed(
+                self._clock, latency, run_registered, fn, *payload.args, **payload.kwargs
+            )
             return TaskResult(data=data, exec_s=exec_s)
 
         qp: QuantumPayload = desc.payload

@@ -27,22 +27,50 @@ threads beyond the cores would otherwise run their simulations in
 lockstep, each one's numpy calls handing the GIL to the others', and every
 one would take about as long as the whole batch. The wait for a core is
 part of exec_s: it is the host contention named above, now spent queueing
-rather than interleaved. Registered functions are not admitted this way.
+rather than interleaved.
+
+A registered function that pickles by reference (a module-level function of
+an importable module other than `__main__`) runs in a host worker process,
+so the workers' Python code stops taking turns on one interpreter lock.
+There are at most `os.cpu_count()` such processes for the whole Python
+process, over every pilot, admitted first come first served like the
+simulations. Each is exec'd as `python -m pilotq.hostproc` with the
+parent's `sys.path`, never forked from the threaded parent, and started at
+the first call that finds no idle one. (multiprocessing's spawn and
+forkserver methods would also start a resource tracker process, which can
+outlive the interpreter.) A function run there does not share
+the caller's memory: its arguments and result are pickled copies, and what
+it changes in its module stays in that process. Its exception comes back
+with the same type and message; a process that exits mid-call fails only
+that call, with HostProcessExited naming the exit status, and the next call
+starts a replacement. At exit the parent closes its pipes and waits for
+every process; a parent that dies closes them too, and each process ends
+at the end of its request stream. Any other function (a lambda, a closure,
+a bound method, a `__main__` function) runs in the calling worker thread.
+Circuit simulation always runs in-thread: a simulation task is too short to
+pay for the round trip.
 """
 
 from __future__ import annotations
 
+import atexit
 import collections
 import os
+import pickle
+import struct
+import subprocess
+import sys
 import threading
 import time
+import types
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from pilotq.clock import Clock, WallClock
 from pilotq.codec import JsonRecord
-from pilotq.errors import DoubleRelease, QubitCapacityExceeded, ValidationError
+from pilotq.errors import DoubleRelease, HostProcessExited, QubitCapacityExceeded, ValidationError
 from pilotq.model import BackendKind, PilotDescription, QueueModel, TaskResult
 from pilotq.qsim.circuit import Circuit, PauliObservable
 from pilotq.qsim.simulate import expectation, probabilities, run_circuit, sample
@@ -100,6 +128,147 @@ class _CoreQueue:
 
 
 _SIMULATION_CORES = _CoreQueue(os.cpu_count() or 1)
+
+# The directory holding the pilotq package: a host process imports
+# pilotq.hostproc from here, not from its working directory
+# (PYTHONSAFEPATH), before it takes over the parent's sys.path.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_EXIT_GRACE_S = 1.0
+_LENGTH = struct.Struct("<Q")  # a frame is its byte count, then that many bytes
+
+
+def write_frame(stream, data: bytes) -> None:
+    """Write one length-prefixed frame and flush it."""
+    stream.write(_LENGTH.pack(len(data)))
+    stream.write(data)
+    stream.flush()
+
+
+def read_frame(stream) -> bytes | None:
+    """The next frame's bytes; None at the end of the stream, whole or torn."""
+    head = stream.read(_LENGTH.size)
+    if len(head) < _LENGTH.size:
+        return None
+    (size,) = _LENGTH.unpack(head)
+    data = stream.read(size)
+    return data if len(data) == size else None
+
+
+class _HostProcess:
+    """One exec'd `python -m pilotq.hostproc` and the two pipes its frames
+    travel on, used by one caller at a time."""
+
+    def __init__(self):
+        requests_r, requests_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-m", "pilotq.hostproc", str(requests_r), str(replies_w)],
+                stdin=subprocess.DEVNULL,
+                pass_fds=(requests_r, replies_w),
+                env=dict(os.environ, PYTHONPATH=_PACKAGE_ROOT, PYTHONSAFEPATH="1"),
+            )
+        except BaseException:
+            os.close(requests_w)
+            os.close(replies_r)
+            raise
+        finally:
+            os.close(requests_r)
+            os.close(replies_w)
+        self._requests = os.fdopen(requests_w, "wb")
+        self._replies = os.fdopen(replies_r, "rb")
+        with suppress(BrokenPipeError):  # a child that died at start fails its first call
+            write_frame(self._requests, pickle.dumps(sys.path))
+
+    def call(self, fn, args, kwargs):
+        request = pickle.dumps((fn, args, kwargs), pickle.HIGHEST_PROTOCOL)
+        try:
+            write_frame(self._requests, request)
+            reply = read_frame(self._replies)
+        except BrokenPipeError:
+            reply = None
+        if reply is None:
+            self.close()
+            raise HostProcessExited(
+                f"host worker process {self.proc.pid} exited with status "
+                f"{self.proc.returncode} while running {fn.__module__}.{fn.__qualname__}"
+            )
+        ok, *outcome = pickle.loads(reply)
+        if ok:
+            return outcome[0]
+        exc, text = outcome
+        raise pickle.loads(exc) if exc is not None else RuntimeError(text)
+
+    def close(self) -> None:
+        """End the request stream, wait for the process to exit (killing it
+        after a grace period), then close the reply stream."""
+        with suppress(OSError):
+            self._requests.close()
+        try:
+            self.proc.wait(_EXIT_GRACE_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self._replies.close()
+
+
+class _HostPool:
+    """At most `size` host processes, admitted first come first served, each
+    started when a call finds none idle."""
+
+    def __init__(self, size: int):
+        self._gate = _CoreQueue(size)
+        self._lock = threading.Lock()
+        self._idle: list[_HostProcess] = []
+        self._live: set[_HostProcess] = set()
+
+    def call(self, fn, args, kwargs):
+        with self._gate:
+            with self._lock:
+                child = self._idle.pop() if self._idle else None
+            if child is None:
+                child = _HostProcess()
+                with self._lock:
+                    self._live.add(child)
+            try:
+                return child.call(fn, args, kwargs)
+            finally:
+                with self._lock:
+                    if child.proc.returncode is None:
+                        self._idle.append(child)
+                    else:
+                        self._live.discard(child)
+
+    def close(self) -> None:
+        with self._lock:
+            children, self._live, self._idle = list(self._live), set(), []
+        for child in children:
+            child.close()
+
+
+_HOST_PROCESSES = _HostPool(os.cpu_count() or 1)
+atexit.register(_HOST_PROCESSES.close)
+
+
+def _pickles_by_reference(fn) -> bool:
+    """A module-level function of an importable module other than __main__:
+    pickle sends its module and name, and a host process imports it."""
+    if not isinstance(fn, types.FunctionType) or fn.__qualname__ != fn.__name__:
+        return False
+    module = sys.modules.get(fn.__module__)
+    return (
+        fn.__module__ != "__main__"
+        and getattr(module, "__spec__", None) is not None
+        and getattr(module, fn.__name__, None) is fn
+    )
+
+
+def run_registered(fn, /, *args, **kwargs):
+    """Call a registered function: in a host worker process when it pickles
+    by reference, else in the calling thread."""
+    if _pickles_by_reference(fn):
+        return _HOST_PROCESSES.call(fn, args, kwargs)
+    return fn(*args, **kwargs)
 
 
 def simulate_readout(

@@ -97,7 +97,9 @@ def batch_gradient(
     """Loss gradient, summed loss, and correct count over one mini-batch.
 
     Registered with agents under BATCH_GRADIENT_FN; arguments and the
-    result are plain lists/floats so the payload stays serialisable.
+    result are plain lists/floats so the payload stays serialisable. Being
+    module-level, it runs in a host worker process (`backends.run_registered`),
+    so the gradient tasks of one epoch do not share one interpreter lock.
     """
     if any(len(x) != n_qubits for x in features):
         raise ValidationError("one feature per qubit required")

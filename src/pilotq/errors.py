@@ -34,6 +34,10 @@ class QubitCapacityExceeded(PilotQError):
     """A circuit is wider than the allocation's QPU supports."""
 
 
+class HostProcessExited(PilotQError):
+    """A host worker process exited while it ran a registered function."""
+
+
 # --- pilot runtime -----------------------------------------------------------
 
 class WorkerOversubscription(ValidationError):

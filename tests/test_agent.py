@@ -1,14 +1,19 @@
 """Pilot agent: worker pool behaviour, payload execution, cancellation."""
 
+import json
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from helpers import local_desc, qpu_desc, zero_task
+import pilotq
 from pilotq.agent import PilotAgent, start_agent, task_seed
-from pilotq.backends import ResourceBackend
+from pilotq.backends import ResourceBackend, run_registered
 from pilotq.clock import SimulatedClock
 from pilotq.errors import AgentStopped, ValidationError, WorkerOversubscription
 from pilotq.events import EventLog
@@ -520,3 +525,170 @@ def test_assign_rejects_a_task_that_can_never_fit():
         assert agent.load() == 0
     finally:
         agent.shutdown()
+
+
+# --- registered functions: host worker processes or the worker thread ----------
+#
+# A module-level function of an importable module runs in a host worker
+# process; any other function runs in the agent's worker thread.
+
+
+def child_pid():
+    return os.getpid()
+
+
+def raise_boom():
+    raise ValueError("boom")
+
+
+class TwoPartError(Exception):
+    def __init__(self, first, second):  # unpickling calls it with one argument
+        super().__init__(f"{first}-{second}")
+
+
+def raise_two_part():
+    raise TwoPartError("a", "b")
+
+
+def exit_three():
+    os._exit(3)
+
+
+def print_and_double(x):
+    print(f"doubling {x}")
+    return 2 * x
+
+
+def _run_functions(functions, calls):
+    """Run each (name, args) call as a classical task; the terminal records in order."""
+    agent = make_agent(local_desc("p", cores=1), functions=functions)
+    try:
+        ids = []
+        for i, (name, args) in enumerate(calls):
+            desc = TaskDescription(
+                task_id=f"f{i}",
+                kind=TaskKind.CLASSICAL_FN,
+                payload=ClassicalPayload(function=name, args=args),
+            )
+            ids.append(submit(agent, desc))
+        assert agent.store.wait_terminal(ids, timeout=30.0)
+        return [agent.store.get(tid) for tid in ids]
+    finally:
+        agent.shutdown()
+
+
+def test_a_module_level_function_runs_in_a_host_process():
+    (rec,) = _run_functions({"pid": child_pid}, [("pid", ())])
+    assert rec.state is TaskState.DONE
+    assert rec.result.data != os.getpid()
+
+
+def test_lambdas_closures_and_main_functions_run_in_the_worker_thread():
+    def closure():
+        return os.getpid()
+
+    namespace = {"__name__": "__main__", "os": os}
+    exec("def main_pid():\n    return os.getpid()\n", namespace)
+    main_pid = namespace["main_pid"]
+    assert main_pid.__module__ == "__main__"
+    functions = {"lambda": lambda: os.getpid(), "closure": closure, "main": main_pid}
+    recs = _run_functions(functions, [(name, ()) for name in functions])
+    assert [r.result.data for r in recs] == [os.getpid()] * 3
+
+
+def test_an_exception_in_a_host_process_reads_as_in_thread():
+    def in_thread():
+        raise ValueError("boom")
+
+    recs = _run_functions({"child": raise_boom, "thread": in_thread}, [("child", ()), ("thread", ())])
+    assert [r.state for r in recs] == [TaskState.FAILED] * 2
+    assert [r.error for r in recs] == ["ValueError: boom"] * 2
+
+
+def test_an_exception_that_cannot_be_pickled_comes_back_as_a_runtime_error():
+    (rec,) = _run_functions({"two": raise_two_part}, [("two", ())])
+    assert rec.error == "RuntimeError: TwoPartError: a-b"
+
+
+def test_a_host_process_that_exits_fails_only_its_own_task():
+    recs = _run_functions(
+        {"exit": exit_three, "pid": child_pid}, [("exit", ()), ("pid", ()), ("pid", ())]
+    )
+    assert recs[0].state is TaskState.FAILED
+    assert recs[0].error.startswith("HostProcessExited")
+    assert "status 3" in recs[0].error
+    assert [r.state for r in recs[1:]] == [TaskState.DONE] * 2
+    assert recs[1].result.data != os.getpid()
+
+
+def test_a_function_that_prints_still_returns_its_result():
+    (rec,) = _run_functions({"double": print_and_double}, [("double", (21,))])
+    assert rec.state is TaskState.DONE
+    assert rec.result.data == 42
+
+
+def test_concurrent_callers_share_at_most_one_host_process_per_core():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pids, errors = [], []
+
+        def caller():
+            try:
+                for _ in range(10):
+                    pids.append(run_registered(child_pid))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller) for _ in range(2 * (os.cpu_count() or 1) + 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(pids) == 10 * len(threads)
+    assert os.getpid() not in pids
+    assert len(set(pids)) <= (os.cpu_count() or 1)
+
+
+_LEAK_SCRIPT = """
+import json, os, sys
+sys.path[:0] = [{src!r}, {tests!r}, {tmp!r}]
+from helpers import local_desc
+from pilotq import ClassicalPayload, PilotManager, TaskDescription, TaskKind
+import pidfn
+
+manager = PilotManager(functions={{"pid": pidfn.pid}})
+manager.create_pilot(local_desc("p", cores=2))
+ids = [
+    manager.submit_task(
+        TaskDescription(
+            task_id=f"t{{i}}", kind=TaskKind.CLASSICAL_FN, payload=ClassicalPayload(function="pid")
+        )
+    )
+    for i in range(4)
+]
+outcome = manager.wait(ids, timeout=60.0)
+manager.shutdown()
+print(json.dumps({{"me": os.getpid(), "children": sorted({{r.result.data for r in outcome.records.values()}})}}))
+"""
+
+
+def test_no_host_process_outlives_the_interpreter(tmp_path):
+    (tmp_path / "pidfn.py").write_text("import os\n\n\ndef pid():\n    return os.getpid()\n")
+    script = _LEAK_SCRIPT.format(
+        src=str(Path(pilotq.__file__).parent.parent),
+        tests=str(Path(__file__).parent),
+        tmp=str(tmp_path),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, check=True
+    )
+    pids = json.loads(done.stdout.splitlines()[-1])
+    assert pids["children"] and pids["me"] not in pids["children"]
+    for pid in pids["children"]:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

@@ -27,12 +27,13 @@ notifies. The agent refuses dispatch after expires_at_s.
 
 A classical task calls its registered function through
 `backends.run_registered`. A module-level function of an importable module
-other than `__main__` runs in a host worker process, so two workers' Python
-code does not take turns on one interpreter lock; it sees pickled copies of
-its arguments, not the caller's memory. Any other function runs in this
-worker thread. Circuit simulation always runs in the worker thread. Either
-way exec_s covers the whole call, including the wait for a host process and
-the pipe round trip.
+other than `__main__` holds one of the host's cores and runs in that core's
+host worker process (one per core), so two workers' Python code does not
+take turns on one interpreter lock; it sees pickled copies of its
+arguments, not the caller's memory. Any other function runs in this worker
+thread. Circuit simulation runs in the worker thread, holding a core from
+the same budget. Either way exec_s covers the whole call, including the
+wait for a core and the pipe round trip.
 """
 
 from __future__ import annotations

@@ -19,36 +19,34 @@ take the output probabilities. A classical pilot's agent calls both
 directly; qpu_execute calls them after sleeping a queue wait drawn from
 the allocation's queue model, and reports that wait separately.
 
-At most `os.cpu_count()` simulations run at once across the process, over
-every pilot, admitted first come first served: a finished simulation
-hands its core straight to the oldest waiting one, so a worker that comes
-back for its next task cannot overtake a task already waiting. Worker
-threads beyond the cores would otherwise run their simulations in
-lockstep, each one's numpy calls handing the GIL to the others', and every
-one would take about as long as the whole batch. The wait for a core is
-part of exec_s: it is the host contention named above, now spent queueing
-rather than interleaved.
-
-A registered function that pickles by reference (a module-level function of
-an importable module other than `__main__`) runs in a host worker process,
-so the workers' Python code stops taking turns on one interpreter lock.
-There are at most `os.cpu_count()` such processes for the whole Python
-process, over every pilot, admitted first come first served like the
-simulations. Each is exec'd as `python -m pilotq.hostproc` with the
-parent's `sys.path`, never forked from the threaded parent, and started at
-the first call that finds no idle one. (multiprocessing's spawn and
-forkserver methods would also start a resource tracker process, which can
-outlive the interpreter.) A function run there does not share
-the caller's memory: its arguments and result are pickled copies, and what
-it changes in its module stays in that process. Its exception comes back
-with the same type and message; a process that exits mid-call fails only
-that call, with HostProcessExited naming the exit status, and the next call
-starts a replacement. At exit the parent closes its pipes and waits for
-every process; a parent that dies closes them too, and each process ends
-at the end of its request stream. Any other function (a lambda, a closure,
-a bound method, a `__main__` function) runs in the calling worker thread.
-Circuit simulation always runs in-thread: a simulation task is too short to
-pay for the round trip.
+The host's `os.cpu_count()` cores are one budget for the whole Python
+process, over every pilot. A simulation holds a core while it runs and
+reads out, and so does a registered function that pickles by reference (a
+module-level function of an importable module other than `__main__`),
+which runs in that core's host worker process so the workers' Python code
+stops taking turns on one interpreter lock; the two kinds compete for the
+same cores and never compute on more of them at once. Cores are admitted
+first come first served: a release hands its core straight to the oldest
+waiter, so a worker that comes back for its next task cannot overtake a
+task already waiting. Worker threads beyond the cores would otherwise run
+in lockstep, each one's numpy calls handing the GIL to the others', and
+every task would take about as long as the whole batch. The wait for a
+core is part of exec_s: it is the host contention named above, now spent
+queueing rather than interleaved. Each core owns at most one host process,
+touched only by the core's holder: exec'd as `python -c` with the parent's
+`sys.path` written into the command, never forked from the threaded parent
+(multiprocessing's spawn and forkserver methods would also start a resource
+tracker process, which can outlive the interpreter), started at the core's
+first call and replaced once it has exited. A function run there does not
+share the caller's memory: its arguments and result are pickled copies, and
+what it changes in its module stays in that process. Its exception comes
+back with the same type and message; a process that exits mid-call fails
+only that call, with HostProcessExited naming the exit status. At exit the
+parent closes each core's pipes and waits for its process; a parent that
+dies closes them too, and each process ends at the end of its request
+stream. Any other function (a lambda, a closure, a bound method, a
+`__main__` function) runs in the calling worker thread, and so does circuit
+simulation: a simulation task is too short to pay for the round trip.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ import sys
 import threading
 import time
 import types
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,39 +98,6 @@ def run_timed(clock: Clock, latency_s: float, work, /, *args, **kwargs):
     return out, latency_s + (time.perf_counter() - t0)
 
 
-class _CoreQueue:
-    """A counting gate of `cores` slots, held with `with`, admitted first come
-    first served: a release passes its slot straight to the oldest waiter."""
-
-    def __init__(self, cores: int):
-        self._lock = threading.Lock()
-        self._free = cores
-        self._waiters: collections.deque[threading.Event] = collections.deque()
-
-    def __enter__(self):
-        with self._lock:
-            if self._free and not self._waiters:
-                self._free -= 1
-                return self
-            turn = threading.Event()
-            self._waiters.append(turn)
-        turn.wait()
-        return self
-
-    def __exit__(self, *exc):
-        with self._lock:
-            if self._waiters:
-                self._waiters.popleft().set()
-            else:
-                self._free += 1
-
-
-_SIMULATION_CORES = _CoreQueue(os.cpu_count() or 1)
-
-# The directory holding the pilotq package: a host process imports
-# pilotq.hostproc from here, not from its working directory
-# (PYTHONSAFEPATH), before it takes over the parent's sys.path.
-_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _EXIT_GRACE_S = 1.0
 _LENGTH = struct.Struct("<Q")  # a frame is its byte count, then that many bytes
 
@@ -155,18 +120,18 @@ def read_frame(stream) -> bytes | None:
 
 
 class _HostProcess:
-    """One exec'd `python -m pilotq.hostproc` and the two pipes its frames
-    travel on, used by one caller at a time."""
+    """One exec'd host worker process, started with the parent's `sys.path`,
+    and the two pipes its frames travel on, used by one caller at a time."""
 
     def __init__(self):
         requests_r, requests_w = os.pipe()
         replies_r, replies_w = os.pipe()
+        boot = f"import sys; sys.path[:] = {sys.path!r}; from pilotq.hostproc import main; main()"
         try:
             self.proc = subprocess.Popen(
-                [sys.executable, "-m", "pilotq.hostproc", str(requests_r), str(replies_w)],
+                [sys.executable, "-c", boot, str(requests_r), str(replies_w)],
                 stdin=subprocess.DEVNULL,
                 pass_fds=(requests_r, replies_w),
-                env=dict(os.environ, PYTHONPATH=_PACKAGE_ROOT, PYTHONSAFEPATH="1"),
             )
         except BaseException:
             os.close(requests_w)
@@ -177,8 +142,6 @@ class _HostProcess:
             os.close(replies_w)
         self._requests = os.fdopen(requests_w, "wb")
         self._replies = os.fdopen(replies_r, "rb")
-        with suppress(BrokenPipeError):  # a child that died at start fails its first call
-            write_frame(self._requests, pickle.dumps(sys.path))
 
     def call(self, fn, args, kwargs):
         request = pickle.dumps((fn, args, kwargs), pickle.HIGHEST_PROTOCOL)
@@ -212,42 +175,60 @@ class _HostProcess:
         self._replies.close()
 
 
-class _HostPool:
-    """At most `size` host processes, admitted first come first served, each
-    started when a call finds none idle."""
+class _HostCores:
+    """The host's `cores` cores, each held with `held()`, admitted first come
+    first served: a release hands its core straight to the oldest waiter.
+    Each core owns at most one host process, which only its holder touches."""
 
-    def __init__(self, size: int):
-        self._gate = _CoreQueue(size)
+    def __init__(self, cores: int):
         self._lock = threading.Lock()
-        self._idle: list[_HostProcess] = []
-        self._live: set[_HostProcess] = set()
+        self._free = list(range(cores))
+        self._waiters: collections.deque[threading.Event] = collections.deque()
+        self._processes: list[_HostProcess | None] = [None] * cores
+
+    @contextmanager
+    def held(self):
+        """Hold one core for the block; yields its index."""
+        with self._lock:
+            turn = None
+            if self._free and not self._waiters:
+                core = self._free.pop()
+            else:
+                turn = threading.Event()  # set once a release has written turn.core
+                self._waiters.append(turn)
+        if turn is not None:
+            turn.wait()
+            core = turn.core
+        try:
+            yield core
+        finally:
+            with self._lock:
+                if self._waiters:
+                    turn = self._waiters.popleft()
+                    turn.core = core
+                    turn.set()
+                else:
+                    self._free.append(core)
 
     def call(self, fn, args, kwargs):
-        with self._gate:
-            with self._lock:
-                child = self._idle.pop() if self._idle else None
-            if child is None:
-                child = _HostProcess()
-                with self._lock:
-                    self._live.add(child)
-            try:
-                return child.call(fn, args, kwargs)
-            finally:
-                with self._lock:
-                    if child.proc.returncode is None:
-                        self._idle.append(child)
-                    else:
-                        self._live.discard(child)
+        """Call `fn` in the host process of a held core, started on the core's
+        first call and replaced once it has exited."""
+        with self.held() as core:
+            child = self._processes[core]
+            if child is None or child.proc.poll() is not None:
+                if child is not None:
+                    child.close()
+                child = self._processes[core] = _HostProcess()
+            return child.call(fn, args, kwargs)
 
     def close(self) -> None:
-        with self._lock:
-            children, self._live, self._idle = list(self._live), set(), []
-        for child in children:
-            child.close()
+        for child in self._processes:
+            if child is not None:
+                child.close()
 
 
-_HOST_PROCESSES = _HostPool(os.cpu_count() or 1)
-atexit.register(_HOST_PROCESSES.close)
+_HOST_CORES = _HostCores(os.cpu_count() or 1)
+atexit.register(_HOST_CORES.close)
 
 
 def _pickles_by_reference(fn) -> bool:
@@ -267,7 +248,7 @@ def run_registered(fn, /, *args, **kwargs):
     """Call a registered function: in a host worker process when it pickles
     by reference, else in the calling thread."""
     if _pickles_by_reference(fn):
-        return _HOST_PROCESSES.call(fn, args, kwargs)
+        return _HOST_CORES.call(fn, args, kwargs)
     return fn(*args, **kwargs)
 
 
@@ -280,7 +261,7 @@ def simulate_readout(
     """Simulate under the simulator's default memory cap, then read out: the
     expectation of `observable` if given, else `shots` sampled counts
     (seeded), else exact probabilities. Waits first for a core."""
-    with _SIMULATION_CORES:
+    with _HOST_CORES.held():
         state = run_circuit(circuit)
         if observable is not None:
             return TaskResult(value=expectation(state, observable))

@@ -1,13 +1,14 @@
-"""Host worker process: runs registered functions sent by the backends' pool.
+"""Host worker process: runs the registered functions sent to one host core.
 
-`backends` starts each of these as `python -m pilotq.hostproc <requests fd>
-<replies fd>`, exec'd rather than forked, with two pipes of its own. The
-first request frame is the parent's `sys.path`, so functions resolve against
-the same source tree; each later one is a pickled `(fn, args, kwargs)`, and
-the process answers it with one reply frame before it reads the next. The
-function pickles by reference, so this process imports its module on first
-use. Standard output stays the inherited one, so a function that prints
-cannot corrupt the frames, and it is flushed after every call.
+`backends` starts one of these per core, on the core's first call, exec'd
+rather than forked: a `python -c` command that puts the parent's `sys.path`
+in place, so functions resolve against the same source tree, and then calls
+`main` with the fds of two pipes of its own. Each request frame is a pickled
+`(fn, args, kwargs)`, and the process answers it with one reply frame before
+it reads the next. The function pickles by reference, so this process
+imports its module on first use. Standard output stays the inherited one,
+so a function that prints cannot corrupt the frames, and it is flushed
+after every call.
 
 A reply is `(True, result)` or `(False, exception, "Type: message")`. The
 exception travels pickled, as None if it does not survive a pickle round
@@ -55,14 +56,7 @@ def main() -> None:
     requests_fd, replies_fd = (int(arg) for arg in sys.argv[1:3])
     try:
         with os.fdopen(requests_fd, "rb") as requests, os.fdopen(replies_fd, "wb") as replies:
-            path = read_frame(requests)
-            if path is None:
-                return
-            sys.path[:] = pickle.loads(path)
             while (request := read_frame(requests)) is not None:
                 write_frame(replies, _answer(request))
     except BrokenPipeError:  # the parent is gone, and with it the reader of the reply
         pass
-
-if __name__ == "__main__":
-    main()

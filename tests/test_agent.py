@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -537,6 +538,10 @@ def child_pid():
     return os.getpid()
 
 
+def child_sys_path():
+    return sys.path
+
+
 def raise_boom():
     raise ValueError("boom")
 
@@ -581,6 +586,8 @@ def test_a_module_level_function_runs_in_a_host_process():
     (rec,) = _run_functions({"pid": child_pid}, [("pid", ())])
     assert rec.state is TaskState.DONE
     assert rec.result.data != os.getpid()
+    (path,) = _run_functions({"path": child_sys_path}, [("path", ())])
+    assert path.result.data == sys.path
 
 
 def test_lambdas_closures_and_main_functions_run_in_the_worker_thread():
@@ -619,6 +626,16 @@ def test_a_host_process_that_exits_fails_only_its_own_task():
     assert "status 3" in recs[0].error
     assert [r.state for r in recs[1:]] == [TaskState.DONE] * 2
     assert recs[1].result.data != os.getpid()
+
+
+def test_a_host_process_killed_while_idle_is_replaced_for_the_next_task():
+    (first,) = _run_functions({"pid": child_pid}, [("pid", ())])
+    pid = first.result.data
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, and not yet reaped by its owner
+    (second,) = _run_functions({"pid": child_pid}, [("pid", ())])
+    assert second.state is TaskState.DONE
+    assert second.result.data not in (pid, os.getpid())
 
 
 def test_a_function_that_prints_still_returns_its_result():

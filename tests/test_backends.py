@@ -211,7 +211,7 @@ def test_simulations_are_admitted_up_to_the_cores_in_arrival_order(monkeypatch):
         return zero_state(1)
 
     monkeypatch.setattr(backends, "run_circuit", stand_in)
-    waiting = backends._SIMULATION_CORES._waiters
+    waiting = backends._HOST_CORES._waiters
 
     def worker(w):
         for k in (w, workers + w):
@@ -240,4 +240,61 @@ def test_simulations_are_admitted_up_to_the_cores_in_arrival_order(monkeypatch):
     for t in threads:
         t.join(10.0)
     assert started == expected
+    assert peak[0] == cores
+
+
+def host_pid():
+    return os.getpid()
+
+
+def test_simulations_and_host_calls_share_one_core_budget(monkeypatch):
+    # Every core holds a simulation, so a host-process call must queue until
+    # one of them gives its core up: across both kinds, no more computations
+    # run at once than there are cores.
+    cores = os.cpu_count() or 1
+    circuits = [Circuit(1, ()) for _ in range(cores)]
+    index = {id(c): k for k, c in enumerate(circuits)}
+    go = [threading.Event() for _ in circuits]
+    running, peak = [0], [0]
+    lock = threading.Lock()
+
+    def computing(work, *args):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        try:
+            return work(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    def stand_in(circuit):
+        go[index[id(circuit)]].wait(10.0)
+        return zero_state(1)
+
+    host_call = backends._HostProcess.call
+    monkeypatch.setattr(backends, "run_circuit", lambda circuit: computing(stand_in, circuit))
+    monkeypatch.setattr(
+        backends._HostProcess, "call", lambda child, *call: computing(host_call, child, *call)
+    )
+    waiting = backends._HOST_CORES._waiters
+    simulations = [
+        threading.Thread(target=simulate_readout, args=(c, 0, 0), daemon=True) for c in circuits
+    ]
+    for t in simulations:
+        t.start()
+    _until(lambda: running[0] == cores, "every core to hold a simulation")
+    pids = []
+    host = threading.Thread(target=lambda: pids.append(backends.run_registered(host_pid)), daemon=True)
+    host.start()
+    _until(lambda: len(waiting) == 1, "the host call to queue")
+    host.join(0.2)
+    assert host.is_alive() and pids == []
+    go[0].set()
+    host.join(30.0)
+    assert pids and pids[0] != os.getpid()
+    for g in go:
+        g.set()
+    for t in simulations:
+        t.join(10.0)
     assert peak[0] == cores

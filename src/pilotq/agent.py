@@ -315,12 +315,3 @@ class PilotAgent:
             qp.circuit, qp.shots, task_seed(tid), qp.observable,
         )
         return replace(result, exec_s=exec_s)
-
-
-def start_agent(
-    allocation: PilotAllocation,
-    workers: int | None = None,
-    **kwargs,
-) -> PilotAgent:
-    """Construct and start a PilotAgent; raises WorkerOversubscription."""
-    return PilotAgent(allocation, workers, **kwargs).start()

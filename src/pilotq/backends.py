@@ -1,13 +1,15 @@
 """Resource backends: provisioning, release, and simulated QPU execution.
 
-Three backend kinds are modeled. `local` grants resources immediately;
+Three backend kinds are modeled, and one `ResourceBackend` serves them
+all: a pilot's kind lives on its description and on the allocation granted
+for it, never on the backend. `local` grants resources immediately;
 `batch_sim` and `qpu_sim` sample a startup queue delay (base +- jitter,
 deterministic per the pilot description's seed) before the allocation
 becomes usable. Releasing the same allocation twice raises DoubleRelease.
 
 The granted `PilotAllocation` is the one runtime record of a pilot: the
-agent runs on it, the manager's placement reads its shape, and
-`qpu_execute` reads its queue model.
+agent runs on it, the manager's placement reads its shape and kind, and
+`qpu_execute` accepts only a qpu_sim allocation and reads its queue model.
 
 Task execution is shared with the agents. `run_timed` is the one timing
 policy: it sleeps the pilot's modelled per-task latency on the clock, then
@@ -287,17 +289,16 @@ def startup_delay(desc: PilotDescription) -> float:
 
 
 class ResourceBackend:
-    """One backend kind's provisioning bookkeeping. Thread-safe."""
+    """One provisioning service for every backend kind: it grants each
+    description the allocation its kind asks for, tracks the live ones and
+    runs qpu_sim tasks. Thread-safe."""
 
-    def __init__(self, kind: BackendKind, *, clock: Clock | None = None):
-        self.kind = BackendKind(kind)
+    def __init__(self, *, clock: Clock | None = None):
         self.clock = clock or WallClock()
         self._lock = threading.Lock()
         self._live: dict[int, PilotAllocation] = {}
 
     def provision(self, desc: PilotDescription) -> PilotAllocation:
-        if desc.backend_kind is not self.kind:
-            raise ValidationError(f"{self.kind.value} backend got a {desc.backend_kind.value} description")
         granted_at = self.clock.now() + startup_delay(desc)
         alloc = PilotAllocation(
             pilot_name=desc.name,
@@ -326,7 +327,7 @@ class ResourceBackend:
         self, circuit: Circuit, shots: int, alloc: PilotAllocation, rng_seed: int
     ) -> TaskResult:
         """Sample `shots` measurements, pacing per the allocation's queue model."""
-        if self.kind is not BackendKind.QPU_SIM or alloc.backend_kind is not BackendKind.QPU_SIM:
+        if alloc.backend_kind is not BackendKind.QPU_SIM:
             raise ValidationError("qpu_execute is only available on qpu_sim allocations")
         if shots < 1:
             raise ValidationError("qpu_execute needs shots >= 1")
@@ -341,7 +342,3 @@ class ResourceBackend:
             circuit, shots, rng_seed,
         )
         return TaskResult(counts=result.counts, queue_wait_s=queue_wait, exec_s=exec_s)
-
-
-def make_backends(*, clock: Clock | None = None) -> dict[BackendKind, ResourceBackend]:
-    return {kind: ResourceBackend(kind, clock=clock) for kind in BackendKind}

@@ -352,6 +352,8 @@ def cmd_circuits(
     if bad:
         raise ValidationError(f"unknown backends: {sorted(bad)}")
     _distinct(backends, "backend")
+    if "qpu_sim" in backends and shots < 1:
+        raise ValidationError("qpu_sim samples: shots must be >= 1")
 
     pilots = [
         PilotDescription(

@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from pilotq.agent import AgentMetrics, PilotAgent
-from pilotq.backends import make_backends
+from pilotq.backends import ResourceBackend
 from pilotq.clock import Clock, WallClock
 from pilotq.errors import DuplicatePilotName, IllegalTransition, UnknownPilot
 from pilotq.events import EventLog
@@ -89,7 +89,7 @@ class PilotManager:
         self._clock = clock or WallClock()
         self._log = log or EventLog(clock=self._clock)
         self._sim_qubits = sim_qubit_capacity(DEFAULT_MEMORY_CAP_BYTES)
-        self._backends = make_backends(clock=self._clock)
+        self._backend = ResourceBackend(clock=self._clock)
         self._functions = dict(functions or {})
         self._auto = auto_schedule
         self._store = TaskStore(self._clock, self._log)
@@ -118,8 +118,7 @@ class PilotManager:
         with self._lock:
             if desc.name in self._pilots:
                 raise DuplicatePilotName(desc.name)
-            backend = self._backends[desc.backend_kind]
-            alloc = backend.provision(desc)
+            alloc = self._backend.provision(desc)
             try:
                 agent = PilotAgent(
                     alloc,
@@ -128,11 +127,11 @@ class PilotManager:
                     log=self._log,
                     store=self._store,
                     functions=self._functions,
-                    backend=backend,
+                    backend=self._backend,
                     on_terminal=self._on_agent_terminal,
                 ).start()
             except BaseException:  # no agent holds the allocation to release it later
-                backend.release(alloc)
+                self._backend.release(alloc)
                 raise
             self._pilots[desc.name] = agent
             self._configured[desc.name] = agent

@@ -13,7 +13,7 @@ import pytest
 
 from helpers import local_desc, qpu_desc, zero_task
 import pilotq
-from pilotq.agent import PilotAgent, start_agent, task_seed
+from pilotq.agent import PilotAgent, task_seed
 from pilotq.backends import ResourceBackend, run_registered
 from pilotq.clock import SimulatedClock
 from pilotq.errors import AgentStopped, ValidationError, WorkerOversubscription
@@ -35,15 +35,15 @@ from pilotq.store import TaskStore
 
 def make_agent(desc=None, workers=None, functions=None, backend=None, on_terminal=None):
     desc = desc or local_desc()
-    backend = backend or ResourceBackend(desc.backend_kind)
+    backend = backend or ResourceBackend()
     alloc = backend.provision(desc)
-    return start_agent(
+    return PilotAgent(
         alloc,
         workers,
         functions=functions or {},
         backend=backend,
         on_terminal=on_terminal,
-    )
+    ).start()
 
 
 def submit(agent, desc) -> str:
@@ -420,7 +420,7 @@ def test_shutdown_twice_returns_the_same_metrics():
 
 
 def test_worker_count_cannot_exceed_allocation_cores():
-    be = ResourceBackend(BackendKind.LOCAL)
+    be = ResourceBackend()
     desc = local_desc("p", cores=2)
     alloc = be.provision(desc)
     with pytest.raises(WorkerOversubscription):
@@ -429,7 +429,7 @@ def test_worker_count_cannot_exceed_allocation_cores():
 
 def test_startup_delay_gates_readiness():
     clock = SimulatedClock(start=0.0)
-    be = ResourceBackend(BackendKind.BATCH_SIM, clock=clock)
+    be = ResourceBackend(clock=clock)
     batch = PilotDescription(name="b", backend_kind=BackendKind.BATCH_SIM, cores_per_node=2)
     alloc = be.provision(batch)
     agent = PilotAgent(alloc, clock=clock, log=EventLog(clock=clock), backend=be).start()
@@ -442,7 +442,7 @@ def test_startup_delay_gates_readiness():
 
 
 def test_cancel_shutdown_ends_the_wait_for_a_distant_grant():
-    be = ResourceBackend(BackendKind.BATCH_SIM)
+    be = ResourceBackend()
     batch = PilotDescription(
         name="b",
         backend_kind=BackendKind.BATCH_SIM,
@@ -460,7 +460,7 @@ def test_cancel_shutdown_ends_the_wait_for_a_distant_grant():
 def test_drain_shutdown_of_an_idle_agent_skips_the_grant():
     clock = SimulatedClock()
     log = EventLog(clock=clock)
-    be = ResourceBackend(BackendKind.BATCH_SIM, clock=clock)
+    be = ResourceBackend(clock=clock)
     batch = PilotDescription(name="b", backend_kind=BackendKind.BATCH_SIM, cores_per_node=2)
     agent = PilotAgent(be.provision(batch), clock=clock, log=log, backend=be).start()
     agent.shutdown(drain=True)
@@ -470,7 +470,7 @@ def test_drain_shutdown_of_an_idle_agent_skips_the_grant():
 
 
 def test_drain_shutdown_ends_the_wait_for_a_distant_grant():
-    be = ResourceBackend(BackendKind.BATCH_SIM)
+    be = ResourceBackend()
     batch = PilotDescription(
         name="b",
         backend_kind=BackendKind.BATCH_SIM,
@@ -500,10 +500,10 @@ class _CancelAfterSchedule(TaskStore):
 
 def test_a_cancel_before_a_fail_fast_check_keeps_the_worker():
     clock = SimulatedClock(start=0.0)
-    be = ResourceBackend(BackendKind.LOCAL, clock=clock)
+    be = ResourceBackend(clock=clock)
     alloc = be.provision(local_desc("p", cores=1, walltime_s=10.0))
     clock.sleep(11.0)  # past expires_at_s: the agent fails each task fast after scheduling
-    agent = start_agent(alloc, clock=clock, store=_CancelAfterSchedule("late"), backend=be)
+    agent = PilotAgent(alloc, clock=clock, store=_CancelAfterSchedule("late"), backend=be).start()
     try:
         submit(agent, TaskDescription(task_id="late", kind=TaskKind.ZERO_COMPUTE))
         assert agent.store.wait_terminal(["late"], timeout=2.0)

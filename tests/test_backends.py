@@ -9,7 +9,7 @@ import pytest
 
 from helpers import local_desc, qpu_desc
 from pilotq import backends
-from pilotq.backends import ResourceBackend, make_backends, simulate_readout, startup_delay
+from pilotq.backends import ResourceBackend, simulate_readout, startup_delay
 from pilotq.clock import SimulatedClock
 from pilotq.errors import DoubleRelease, QubitCapacityExceeded, ValidationError
 from pilotq.model import BackendKind, PilotDescription, QueueModel
@@ -18,7 +18,7 @@ from pilotq.qsim.simulate import zero_state
 
 
 def test_provision_and_release_track_granted_totals():
-    be = ResourceBackend(BackendKind.LOCAL)
+    be = ResourceBackend()
     a = be.provision(local_desc("a", cores=4))
     b = be.provision(local_desc("b", cores=2))
     assert a.total_cores == 4 and b.total_cores == 2
@@ -30,21 +30,32 @@ def test_provision_and_release_track_granted_totals():
 
 
 def test_release_twice_is_an_error():
-    be = ResourceBackend(BackendKind.LOCAL)
+    be = ResourceBackend()
     alloc = be.provision(local_desc())
     be.release(alloc)
     with pytest.raises(DoubleRelease):
         be.release(alloc)
 
 
-def test_kind_mismatch_is_rejected():
-    be = ResourceBackend(BackendKind.LOCAL)
-    with pytest.raises(ValidationError):
-        be.provision(qpu_desc())
+def test_one_backend_provisions_every_kind():
+    clock = SimulatedClock()
+    be = ResourceBackend(clock=clock)
+    descs = [
+        local_desc("l"),
+        PilotDescription(name="b", backend_kind=BackendKind.BATCH_SIM),
+        qpu_desc("q"),
+    ]
+    allocs = [be.provision(d) for d in descs]
+    assert [a.backend_kind for a in allocs] == [d.backend_kind for d in descs]
+    assert [a.granted_at_s for a in allocs] == [0.0, 37.0, 0.0]  # each kind's startup delay
+    assert {a.pilot_name for a in be.live_allocations()} == {"l", "b", "q"}
+    for alloc in allocs:
+        be.release(alloc)
+    assert be.live_allocations() == []
 
 
 def test_invalid_description_is_rejected_before_any_grant():
-    be = ResourceBackend(BackendKind.LOCAL)
+    be = ResourceBackend()
     with pytest.raises(ValidationError):
         be.provision(PilotDescription(name="", backend_kind=BackendKind.LOCAL))
     assert be.live_allocations() == []
@@ -101,25 +112,18 @@ def test_delay_never_goes_negative():
 
 def test_allocation_stamps_come_from_the_clock():
     clock = SimulatedClock(start=100.0)
-    be = ResourceBackend(BackendKind.BATCH_SIM, clock=clock)
+    be = ResourceBackend(clock=clock)
     desc = PilotDescription(name="b", backend_kind=BackendKind.BATCH_SIM, walltime_s=600.0)
     alloc = be.provision(desc)
     assert alloc.granted_at_s == 100.0 + 37.0
     assert alloc.expires_at_s == alloc.granted_at_s + 600.0
 
 
-def test_make_backends_covers_every_kind():
-    backends = make_backends()
-    assert set(backends) == set(BackendKind)
-    for kind, be in backends.items():
-        assert be.kind is kind
-
-
 # --- qpu execution -------------------------------------------------------------------
 
 
 def _qpu_backend(latency=0.0):
-    be = ResourceBackend(BackendKind.QPU_SIM)
+    be = ResourceBackend()
     alloc = be.provision(qpu_desc("q", qubits=4, latency_s=latency))
     return be, alloc
 
@@ -142,7 +146,7 @@ def test_qpu_execute_validates_shots_width_and_kind():
         be.qpu_execute(circ, 10, alloc, rng_seed=0)  # 5 qubits on a 4-qubit device
     with pytest.raises(ValidationError):
         be.qpu_execute(Circuit(1, ()), 0, alloc, rng_seed=0)
-    local = ResourceBackend(BackendKind.LOCAL)
+    local = ResourceBackend()
     local_alloc = local.provision(local_desc())
     with pytest.raises(ValidationError):
         local.qpu_execute(Circuit(1, ()), 10, local_alloc, rng_seed=0)
@@ -157,7 +161,7 @@ def test_qpu_execute_reports_latency_in_exec_time():
 
 def test_qpu_queue_wait_is_the_seeded_startup_draw():
     clock = SimulatedClock()
-    be = ResourceBackend(BackendKind.QPU_SIM, clock=clock)
+    be = ResourceBackend(clock=clock)
     desc = PilotDescription(
         name="q",
         backend_kind=BackendKind.QPU_SIM,

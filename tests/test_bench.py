@@ -232,13 +232,21 @@ def test_circuits_rejects_unknown_backend(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_circuits_rejects_a_bad_qpu_pilot_before_any_task_runs(tmp_path):
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param({"qpu_latency_s": float("inf")}, id="qpu_latency_inf"),
+        pytest.param({"shots": 0, "qpu_latency_s": 0.0}, id="shots_0"),
+        pytest.param({"shots": -3, "qpu_latency_s": 0.0}, id="shots_-3"),
+    ],
+)
+def test_circuits_rejects_a_bad_qpu_pilot_before_any_task_runs(tmp_path, bad):
     log = tmp_path / "ev.jsonl"
     with pytest.raises(ValidationError):
         cmd_circuits(
             [2, 4],
             count=2,
-            qpu_latency_s=float("inf"),
+            **bad,
             out_path=tmp_path / "x.csv",
             log_path=log,
             session_path=tmp_path / "s.json",

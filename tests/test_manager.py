@@ -76,7 +76,7 @@ def test_duplicate_pilot_and_task_ids_are_rejected(manager):
 
 
 def test_a_pilot_whose_agent_cannot_be_built_leaves_no_live_allocation(manager):
-    backend = manager._backends[BackendKind.LOCAL]
+    backend = manager._backend
     with pytest.raises(WorkerOversubscription):
         manager.create_pilot(local_desc("p", cores=2), workers=3)
     assert backend.live_allocations() == []
@@ -447,7 +447,7 @@ def test_exact_and_sampled_tasks_route_to_matching_backends(manager):
     assert sum(s.result.counts.values()) == 128
     assert set(s.result.counts) <= {"00", "11"}
     # the agent's qpu path samples exactly as a direct qpu_execute call does
-    backend = ResourceBackend(BackendKind.QPU_SIM)
+    backend = ResourceBackend()
     alloc = backend.provision(qpu_desc("ref", qubits=8, cores=2))
     assert s.result.counts == backend.qpu_execute(bell, 128, alloc, rng_seed=task_seed("s")).counts
 

@@ -36,7 +36,8 @@ every task would take about as long as the whole batch. The wait for a
 core is part of exec_s: it is the host contention named above, now spent
 queueing rather than interleaved. Each core owns at most one host process,
 touched only by the core's holder: exec'd as `python -c` with the parent's
-`sys.path` written into the command, never forked from the threaded parent
+`sys.path` written into the command (a relative entry resolved against the
+cwd at import of this module), never forked from the threaded parent
 (multiprocessing's spawn and forkserver methods would also start a resource
 tracker process, which can outlive the interpreter), started at the core's
 first call and replaced once it has exited. A function run there does not
@@ -101,6 +102,9 @@ def run_timed(clock: Clock, latency_s: float, work, /, *args, **kwargs):
 
 
 _EXIT_GRACE_S = 1.0
+# A relative sys.path entry names a directory under the cwd the entry was
+# added from; a host process starts after the caller may have changed it.
+_IMPORT_CWD = os.getcwd()
 _LENGTH = struct.Struct("<Q")  # a frame is its byte count, then that many bytes
 
 
@@ -128,7 +132,8 @@ class _HostProcess:
     def __init__(self):
         requests_r, requests_w = os.pipe()
         replies_r, replies_w = os.pipe()
-        boot = f"import sys; sys.path[:] = {sys.path!r}; from pilotq.hostproc import main; main()"
+        path = [os.path.join(_IMPORT_CWD, entry) for entry in sys.path]
+        boot = f"import sys; sys.path[:] = {path!r}; from pilotq.hostproc import main; main()"
         try:
             self.proc = subprocess.Popen(
                 [sys.executable, "-c", boot, str(requests_r), str(replies_w)],

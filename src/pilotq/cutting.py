@@ -20,10 +20,11 @@ downstream fragment with a fresh re-prepared wire as its control. One cut
 therefore needs 9 fragment circuits (3 upstream measurement bases, with the
 Z run reused for the I term, plus 6 downstream preparations) feeding all
 8 reconstruction terms; a 3-cluster chain needs 3 + 3*6 + 6 = 27 circuits
-for 64 terms. The 8^k terms of k cuts are never listed: each fragment gives
-a value table with one 8-row axis per cut it touches, and reconstruction
-contracts the tables along the chain at a cost linear in k. Only the shot
-overhead stays 16^k.
+for 64 terms. The 8^k terms of k cuts are never listed: a fragment's run
+values, in the order its runs were generated, form a table with a row per
+prep label and two slots per measurement basis. Fixed index arrays pick each
+table's 8 term rows and slots, and reconstruction folds the fragments along
+the chain at a cost linear in k. Only the shot overhead stays 16^k.
 
 Observables are restricted to a single Pauli string: each fragment rotates
 X/Y letters onto Z at the end of its circuit, measures everything in the
@@ -37,13 +38,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from pilotq.codec import JsonRecord
 from pilotq.errors import (
-    MissingFragmentValue,
     NoFeasiblePilot,
     NotCutFriendly,
     PilotQError,
@@ -179,10 +179,6 @@ class CutPlan(JsonRecord):
         return len(self.cuts)
 
     @property
-    def max_fragment_width(self) -> int:
-        return max(f.width for f in self.fragments)
-
-    @property
     def sampling_overhead(self) -> float:
         return sampling_overhead(self.num_cuts)
 
@@ -312,113 +308,83 @@ def find_cuts(circuit: Circuit, observable: PauliObservable, max_width: int) -> 
 
 # --- subexperiments and reconstruction -------------------------------------------
 
+# Where each WIRE_CUT_TERMS row reads its two fragment values: the prep row of
+# the downstream fragment's table, and the measure slot of the upstream one's.
+# A slot is 2 * basis + signed: a run in MEASURE_BASES[basis] sums each outcome
+# once without and once with the cut wire's sign, so the Z run's unsigned sum
+# is the I value.
+_TERM_PREP = np.array([PREP_LABELS.index(t.prep) for t in WIRE_CUT_TERMS])
+_TERM_SLOT = np.array(
+    [2 * MEASURE_BASES.index(t.measure) + 1 if t.measure != "I" else 0 for t in WIRE_CUT_TERMS]
+)
+_TERM_COEFF = np.array([t.coeff for t in WIRE_CUT_TERMS])
+_NO_CUT = np.zeros(1, dtype=np.intp)
+
 
 @dataclass(frozen=True)
 class Subexperiment(JsonRecord):
     """One runnable fragment circuit: preps prepended, rotations appended.
 
-    `value_keys` lists the (key, mask) pairs this run's output yields: the
-    mask marks local wires whose Z outcome multiplies into the sign. A
-    Z-basis run yields both the I and the Z value of its measured cut.
+    `key` names the run (fragment, prep labels, bases) for its task id.
+    `masks` holds the fragment's sign masks, the same for each of its runs:
+    the observable's letters, then with the measured cut wire left out and
+    put in. A mask marks the local wires whose Z outcome multiplies into
+    the sign.
     """
 
     key: str
-    fragment: int
-    preps: dict[int, str]
-    bases: dict[int, str]
     circuit: Circuit
-    value_keys: tuple[tuple[str, int], ...]
+    masks: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Reconstruction(JsonRecord):
-    """The wire-cut expansion of a chain plan as one value table per fragment.
+    """The wire-cut expansion of a chain plan, read by run position.
 
-    `tables[f]` holds fragment f's value keys row-major over its (prepped,
-    measured) cuts, each axis running over the WIRE_CUT_TERMS rows: 8 keys at
-    either end of the chain, 64 in the middle. `len` counts the 8^k terms.
+    `cuts[f]` is (prepped, measured) for fragment f: 0 or 1 cuts on each
+    side, since find_cuts plans chains. Fragment f's runs, in generation
+    order, form a table of 6^prepped rows (PREP_LABELS) by 6^measured
+    slots (2 per MEASURE_BASES run). `len` counts the 8^k terms.
     """
 
     coeff: float
-    tables: tuple[tuple[str, ...], ...]
+    cuts: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
-        return len(WIRE_CUT_TERMS) ** (len(self.tables) - 1)
-
-
-def _key(fragment: int, preps: Mapping[int, str], tag: str, picks: Mapping[int, str]) -> str:
-    """Tag "m" keys a fragment value by measured letters, "b" a run by bases."""
-    parts = [f"f{fragment}"]
-    parts += [f"p{c}={preps[c]}" for c in sorted(preps)]
-    parts += [f"{tag}{c}={picks[c]}" for c in sorted(picks)]
-    return ",".join(parts)
+        return len(WIRE_CUT_TERMS) ** sum(measured for _, measured in self.cuts)
 
 
 def generate_subexperiments(plan: CutPlan) -> tuple[list[Subexperiment], Reconstruction]:
-    """All fragment circuits to run, plus the tables that combine their values."""
+    """All fragment circuits to run, fragment by fragment, then prep labels,
+    then bases, plus the expansion that combines their values in that order."""
     subs: list[Subexperiment] = []
-    tables: list[tuple[str, ...]] = []
     for frag in plan.fragments:
-        obs_mask = 0
-        for wire in frag.letters:
-            obs_mask |= 1 << wire
-        keys: dict[tuple[tuple[str, ...], tuple[str, ...]], str] = {}
+        masks = [sum(1 << wire for wire in frag.letters)]
+        for c in frag.measured_cuts:
+            masks += [mask | 1 << plan.cuts[c].upstream_wire for mask in masks]
         for preps in itertools.product(PREP_LABELS, repeat=len(frag.prepped_cuts)):
-            prep_map = dict(zip(frag.prepped_cuts, preps))
-            for bases in itertools.product(MEASURE_BASES, repeat=len(frag.measured_cuts)):
-                basis_map = dict(zip(frag.measured_cuts, bases))
-                prefix = [
-                    Gate(name, (plan.cuts[c].downstream_wire,))
-                    for c in frag.prepped_cuts
-                    for name in _PREP_GATES[prep_map[c]]
-                ]
-                suffix = [
-                    Gate(name, (plan.cuts[c].upstream_wire,))
-                    for c in frag.measured_cuts
-                    for name in _BASIS_ROTATIONS[basis_map[c]]
-                ]
-                circuit = Circuit(
-                    frag.width, tuple(prefix) + frag.circuit.gates + tuple(suffix)
-                )
-                letter_options = [
-                    ("I", "Z") if basis_map[c] == "Z" else (basis_map[c],)
-                    for c in frag.measured_cuts
-                ]
-                value_keys = []
-                for letters in itertools.product(*letter_options):
-                    meas_map = dict(zip(frag.measured_cuts, letters))
-                    mask = obs_mask
-                    for c, letter in meas_map.items():
-                        if letter != "I":
-                            mask |= 1 << plan.cuts[c].upstream_wire
-                    keys[preps, letters] = _key(frag.index, prep_map, "m", meas_map)
-                    value_keys.append((keys[preps, letters], mask))
-                subs.append(
-                    Subexperiment(
-                        key=_key(frag.index, prep_map, "b", basis_map),
-                        fragment=frag.index,
-                        preps=prep_map,
-                        bases=basis_map,
-                        circuit=circuit,
-                        value_keys=tuple(value_keys),
-                    )
-                )
-        tables.append(
-            tuple(
-                keys[tuple(r.prep for r in ins), tuple(r.measure for r in outs)]
-                for ins in itertools.product(WIRE_CUT_TERMS, repeat=len(frag.prepped_cuts))
-                for outs in itertools.product(WIRE_CUT_TERMS, repeat=len(frag.measured_cuts))
+            prefix = tuple(
+                Gate(name, (plan.cuts[c].downstream_wire,))
+                for c, label in zip(frag.prepped_cuts, preps)
+                for name in _PREP_GATES[label]
             )
-        )
+            for bases in itertools.product(MEASURE_BASES, repeat=len(frag.measured_cuts)):
+                suffix = tuple(
+                    Gate(name, (plan.cuts[c].upstream_wire,))
+                    for c, basis in zip(frag.measured_cuts, bases)
+                    for name in _BASIS_ROTATIONS[basis]
+                )
+                key = ",".join(
+                    [f"f{frag.index}"]
+                    + [f"p{c}={label}" for c, label in zip(frag.prepped_cuts, preps)]
+                    + [f"b{c}={basis}" for c, basis in zip(frag.measured_cuts, bases)]
+                )
+                circuit = Circuit(frag.width, prefix + frag.circuit.gates + suffix)
+                subs.append(Subexperiment(key=key, circuit=circuit, masks=tuple(masks)))
 
     obs_coeff, _ = plan.observable.terms[0]
-    return subs, Reconstruction(coeff=obs_coeff, tables=tuple(tables))
-
-
-def _signed_sum_probabilities(probs: np.ndarray, mask: int) -> float:
-    idx = np.arange(probs.size, dtype=np.uint64)
-    parity = np.bitwise_count(idx & np.uint64(mask)) & 1
-    return float(np.sum(probs * (1.0 - 2.0 * parity)))
+    cuts = tuple((len(f.prepped_cuts), len(f.measured_cuts)) for f in plan.fragments)
+    return subs, Reconstruction(coeff=obs_coeff, cuts=cuts)
 
 
 def fragment_values(
@@ -426,8 +392,8 @@ def fragment_values(
     *,
     probabilities: Iterable[float] | None = None,
     counts: Mapping[str, int] | None = None,
-) -> dict[str, float]:
-    """Evaluate every value key a subexperiment's output provides."""
+) -> np.ndarray:
+    """One signed sum of a subexperiment's output per sign mask."""
     if (probabilities is None) == (counts is None):
         raise ValidationError("pass exactly one of probabilities or counts")
     if counts is not None:
@@ -436,24 +402,37 @@ def fragment_values(
         probs = np.asarray(list(probabilities), dtype=float)
         if probs.size != 2**sub.circuit.num_qubits:
             raise ValidationError("probability vector length does not match the fragment")
-    return {key: _signed_sum_probabilities(probs, mask) for key, mask in sub.value_keys}
+    idx = np.arange(probs.size, dtype=np.uint64)
+    parity = np.bitwise_count(idx & np.array(sub.masks, dtype=np.uint64)[:, None]) & 1
+    return np.sum(probs * (1.0 - 2.0 * parity), axis=1)
 
 
-def reconstruct(expansion: Reconstruction, values: Mapping[str, float]) -> float:
-    """Contract the fragment tables along the cut chain: fragment f preps cut
-    f-1 and measures cut f, so a vector over the open cut's rows, weighted by
-    their coefficients, carries the sum over the fragments folded so far."""
-    try:
-        first, *middle, last = (
-            np.array([values[key] for key in table]) for table in expansion.tables
-        )
-    except KeyError as exc:
-        raise MissingFragmentValue(exc.args[0]) from None
-    coeffs = np.array([row.coeff for row in WIRE_CUT_TERMS])
-    carry = first * coeffs
-    for table in middle:
-        carry = np.einsum("i,ij,j->j", carry, table.reshape(coeffs.size, -1), coeffs)
-    return expansion.coeff * float(np.sum(carry * last))
+def reconstruct(expansion: Reconstruction, values: Sequence[np.ndarray]) -> float:
+    """Fold the fragments along the cut chain, from `values`, the
+    fragment_values of every run in generation order. Fragment f preps the
+    cut fragment f-1 measured, so a vector over the open cut's term rows,
+    weighted by their coefficients, carries the sum over the fragments
+    folded so far; it starts and ends with one entry."""
+    sizes = [6**prepped * 3**measured for prepped, measured in expansion.cuts]
+    runs = sum(sizes)
+    if len(values) != runs:
+        raise ValidationError(f"reconstruction needs the values of {runs} runs, got {len(values)}")
+    carry = np.ones(1)
+    start = 0
+    for (prepped, measured), size in zip(expansion.cuts, sizes):
+        try:
+            table = np.asarray(values[start : start + size], dtype=float).reshape(
+                6**prepped, 6**measured
+            )
+        except ValueError:
+            raise ValidationError(
+                f"runs {start}..{start + size - 1} must each give {2**measured} values"
+            ) from None
+        start += size
+        rows = _TERM_PREP if prepped else _NO_CUT
+        slots, weights = (_TERM_SLOT, _TERM_COEFF) if measured else (_NO_CUT, 1.0)
+        carry = np.einsum("i,ij->j", carry, table[rows[:, None], slots]) * weights
+    return expansion.coeff * carry.item()
 
 
 # --- end-to-end workflow ------------------------------------------------------------
@@ -517,15 +496,15 @@ def run_cut_workflow(
     outcome = manager.wait(ids, timeout)
     if not outcome.complete:
         raise PilotQError(f"cut workflow timed out after {timeout}s")
-    values: dict[str, float] = {}
+    values = []
     for sub, tid in zip(subs, ids):
         rec = outcome.records[tid]
         if rec.state is not TaskState.DONE:
             raise PilotQError(f"fragment task {tid} ended {rec.state.value}: {rec.error}")
         if shots == 0:
-            values.update(fragment_values(sub, probabilities=rec.result.probabilities))
+            values.append(fragment_values(sub, probabilities=rec.result.probabilities))
         else:
-            values.update(fragment_values(sub, counts=rec.result.counts))
+            values.append(fragment_values(sub, counts=rec.result.counts))
     exec_s = time.perf_counter() - t1
 
     t2 = time.perf_counter()

@@ -90,10 +90,6 @@ class UnsupportedObservable(ValidationError):
     """The observable cannot be decomposed across the cut."""
 
 
-class MissingFragmentValue(PilotQError):
-    """Reconstruction referenced a fragment value that was never supplied."""
-
-
 # --- CLI ----------------------------------------------------------------------
 
 class NoActiveSession(PilotQError):

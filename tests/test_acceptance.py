@@ -66,10 +66,10 @@ def _random_observable(rng, n: int) -> PauliObservable:
 def _exact_cut_value(circuit, observable, max_width: int) -> float:
     plan = find_cuts(circuit, observable, max_width)
     subs, terms = generate_subexperiments(plan)
-    values = {}
+    values = []
     for sub in subs:
         probs = probabilities(run_circuit(sub.circuit))
-        values.update(fragment_values(sub, probabilities=probs))
+        values.append(fragment_values(sub, probabilities=probs))
     return reconstruct(terms, values)
 
 
@@ -171,10 +171,10 @@ def test_criterion_03_sampling_overhead_law():
     exact = expectation(run_circuit(circuit), observable)
 
     def error_at(shots: int, seed: int) -> float:
-        values = {}
+        values = []
         for i, sub in enumerate(subs):
             counts = sample(states[i], shots, seed=seed * 100 + i)
-            values.update(fragment_values(sub, counts=counts))
+            values.append(fragment_values(sub, counts=counts))
         return abs(reconstruct(terms, values) - exact)
 
     s_small, s_big = 256, 1024

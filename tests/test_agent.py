@@ -709,3 +709,31 @@ def test_no_host_process_outlives_the_interpreter(tmp_path):
     for pid in pids["children"]:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+# pilotq found through a relative sys.path entry, then the cwd changes before
+# the first registered call starts a host process.
+_RELATIVE_PATH_SCRIPT = """
+import os, sys
+sys.path.insert(0, {src!r})
+import pilotq.agent
+from pilotq.backends import run_registered
+os.chdir({elsewhere!r})
+print(run_registered(pilotq.agent.task_seed, "x"))
+"""
+
+
+def test_a_host_process_resolves_a_relative_sys_path_entry_after_chdir(tmp_path):
+    src = Path(pilotq.__file__).parent.parent
+    script = _RELATIVE_PATH_SCRIPT.format(src=src.name, elsewhere=str(tmp_path))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=src.parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(task_seed("x"))]

@@ -6,7 +6,6 @@ under test beyond the term table itself.
 """
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from pilotq.cutting import (
     PREP_LABELS,
     WIRE_CUT_TERMS,
     CutPlan,
+    FragmentSpec,
     clustered_circuit,
     find_cuts,
     fragment_values,
@@ -27,7 +27,6 @@ from pilotq.cutting import (
     sampling_overhead,
 )
 from pilotq.errors import (
-    MissingFragmentValue,
     NoFeasiblePilot,
     NotCutFriendly,
     UnsupportedObservable,
@@ -134,7 +133,6 @@ def test_find_cuts_splits_a_two_cluster_chain():
     assert up.letters == {0: "Z"}
     assert down.letters == {3: "Z"}  # original qubit 5 is local wire 3
     assert down.qubit_map[0] == 2  # the fresh wire continues original qubit 2
-    assert plan.max_fragment_width == 4
     assert plan.sampling_overhead == 16.0
 
 
@@ -220,20 +218,21 @@ def test_fragment_values_are_signed_probability_sums():
     obs = PauliObservable.single(4, {3: "Z"})
     plan = find_cuts(circ, obs, max_width=3)
     subs, _ = generate_subexperiments(plan)
-    sub = subs[0]  # an upstream Z-basis run: provides both the I and Z keys
+    sub = subs[0]  # an upstream Z-basis run: provides both the I and Z values
     probs = probabilities(run_circuit(sub.circuit))
     values = fragment_values(sub, probabilities=probs)
-    assert len(values) == len(sub.value_keys)
-    for key, mask in sub.value_keys:
+    assert len(values) == len(sub.masks)
+    for value, mask in zip(values, sub.masks):
         want = sum(
             p * (-1) ** bin(i & mask).count("1") for i, p in enumerate(probs)
         )
-        assert values[key] == pytest.approx(want, abs=1e-12)
-    # the mask-0 key (identity measurement, no observable letter upstream)
+        assert value == pytest.approx(want, abs=1e-12)
+    # the mask-0 value (identity measurement, no observable letter upstream)
     # must evaluate to exactly 1: probabilities sum to one
-    zero_mask = [k for k, m in sub.value_keys if m == 0]
-    for key in zero_mask:
-        assert values[key] == pytest.approx(1.0, abs=1e-12)
+    zero_mask = [value for value, mask in zip(values, sub.masks) if mask == 0]
+    assert zero_mask
+    for value in zero_mask:
+        assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fragment_values_from_counts_match_exact_in_the_limit():
@@ -245,8 +244,9 @@ def test_fragment_values_from_counts_match_exact_in_the_limit():
     state = run_circuit(sub.circuit)
     exact = fragment_values(sub, probabilities=probabilities(state))
     sampled = fragment_values(sub, counts=sample(state, 200_000, seed=0))
-    for key in exact:
-        assert sampled[key] == pytest.approx(exact[key], abs=0.02)
+    assert len(sampled) == len(exact) == len(sub.masks)
+    for got, want in zip(sampled, exact):
+        assert got == pytest.approx(want, abs=0.02)
 
 
 def test_fragment_values_argument_contract():
@@ -280,17 +280,22 @@ def test_reconstruct_flags_missing_values():
     circ = clustered_circuit([2, 2], reps=1, seed=0)
     plan = find_cuts(circ, PauliObservable.single(4, {0: "Z"}), max_width=3)
     _, terms = generate_subexperiments(plan)
-    with pytest.raises(MissingFragmentValue):
-        reconstruct(terms, {})
+    with pytest.raises(ValidationError):
+        reconstruct(terms, [])
 
-    # every value but one of a middle fragment's: the gap must not read as 0
+    # every run's values but one middle-fragment run's: the gap must not read as 0
     circ = clustered_circuit([2, 2, 2], reps=1, seed=0)
     plan = find_cuts(circ, PauliObservable.single(6, {0: "Z", 5: "Z"}), max_width=3)
     subs, terms = generate_subexperiments(plan)
-    values = {key: 0.5 for sub in subs for key, _ in sub.value_keys}
-    gone = next(key for sub in subs if sub.fragment == 1 for key, _ in sub.value_keys)
+    values = [np.full(len(sub.masks), 0.5) for sub in subs]
+    gone = next(i for i, sub in enumerate(subs) if sub.key.startswith("f1,"))
     del values[gone]
-    with pytest.raises(MissingFragmentValue, match=re.escape(gone)):
+    with pytest.raises(ValidationError):
+        reconstruct(terms, values)
+
+    # every run present, but one middle-fragment run gives too few values
+    values.insert(gone, np.full(1, 0.5))
+    with pytest.raises(ValidationError):
         reconstruct(terms, values)
 
 
@@ -300,10 +305,10 @@ def test_reconstruct_flags_missing_values():
 def _exact_cut_value(circ, obs, max_width) -> float:
     plan = find_cuts(circ, obs, max_width)
     subs, terms = generate_subexperiments(plan)
-    values = {}
+    values = []
     for sub in subs:
         probs = probabilities(run_circuit(sub.circuit))
-        values.update(fragment_values(sub, probabilities=probs))
+        values.append(fragment_values(sub, probabilities=probs))
     return reconstruct(terms, values)
 
 
@@ -333,9 +338,9 @@ def test_ten_cuts_reconstruct_exactly():
     assert plan.num_cuts == 10
     assert len(subs) == 171
     assert len(terms) == 8**10
-    values = {}
+    values = []
     for sub in subs:
-        values.update(fragment_values(sub, probabilities=probabilities(run_circuit(sub.circuit))))
+        values.append(fragment_values(sub, probabilities=probabilities(run_circuit(sub.circuit))))
     assert reconstruct(terms, values) == pytest.approx(expectation(run_circuit(circ), obs), abs=1e-9)
 
 
@@ -360,6 +365,25 @@ def test_list_states_give_the_fragment_readouts_of_numpy_states(monkeypatch):
     assert counts == want_counts
 
 
+def test_a_plan_without_cuts_reconstructs_its_one_fragment():
+    circ = clustered_circuit([4], reps=1, seed=0)
+    obs = PauliObservable.single(4, {0: "Z"})
+    whole = FragmentSpec(
+        index=0,
+        circuit=circ,
+        letters={0: "Z"},
+        qubit_map={q: q for q in range(4)},
+        measured_cuts=(),
+        prepped_cuts=(),
+    )
+    plan = CutPlan(num_qubits=4, observable=obs, fragments=(whole,), cuts=())
+    subs, terms = generate_subexperiments(plan)
+    assert len(subs) == 1
+    assert len(terms) == 1
+    values = [fragment_values(subs[0], probabilities=probabilities(run_circuit(subs[0].circuit)))]
+    assert reconstruct(terms, values) == pytest.approx(expectation(run_circuit(circ), obs), abs=1e-12)
+
+
 def test_identity_observable_reconstructs_to_its_coefficient():
     circ = clustered_circuit([2, 2], reps=1, seed=4)
     obs = PauliObservable(terms=((1.5, "IIII"),))
@@ -374,10 +398,10 @@ def test_shot_noise_shrinks_with_more_shots():
     exact = expectation(run_circuit(circ), obs)
 
     def run_with(shots, seed):
-        values = {}
+        values = []
         for i, sub in enumerate(subs):
             state = run_circuit(sub.circuit)
-            values.update(fragment_values(sub, counts=sample(state, shots, seed * 1000 + i)))
+            values.append(fragment_values(sub, counts=sample(state, shots, seed * 1000 + i)))
         return abs(reconstruct(terms, values) - exact)
 
     errs_small = [run_with(256, s) for s in range(20)]

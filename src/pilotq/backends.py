@@ -44,9 +44,10 @@ first call and replaced once it has exited. A function run there does not
 share the caller's memory: its arguments and result are pickled copies, and
 what it changes in its module stays in that process. Its exception comes
 back with the same type and message; a process that exits mid-call fails
-only that call, with HostProcessExited naming the exit status. At exit the
-parent closes each core's pipes and waits for its process; a parent that
-dies closes them too, and each process ends at the end of its request
+only that call, with HostProcessExited naming the exit status and, for a
+process that could not import its loop, the error that stopped it. At exit
+the parent closes each core's pipes and waits for its process; a parent
+that dies closes them too, and each process ends at the end of its request
 stream. Any other function (a lambda, a closure, a bound method, a
 `__main__` function) runs in the calling worker thread, and so does circuit
 simulation: a simulation task is too short to pay for the round trip.
@@ -106,6 +107,21 @@ _EXIT_GRACE_S = 1.0
 # added from; a host process starts after the caller may have changed it.
 _IMPORT_CWD = os.getcwd()
 _LENGTH = struct.Struct("<Q")  # a frame is its byte count, then that many bytes
+# Run after the parent's sys.path is in place. A process that cannot import
+# the worker loop writes one `(None, "Type: message")` frame, laid out by
+# hand as write_frame would, so the caller learns why it is gone; it then
+# exits with the traceback on stderr.
+_BOOT = """
+try:
+    from pilotq.hostproc import main
+except BaseException as exc:
+    import os, pickle, struct
+    reply = pickle.dumps((None, f"{type(exc).__name__}: {exc}"))
+    with os.fdopen(int(sys.argv[2]), "wb") as replies:
+        replies.write(struct.pack("<Q", len(reply)) + reply)
+    raise
+main()
+"""
 
 
 def write_frame(stream, data: bytes) -> None:
@@ -133,7 +149,7 @@ class _HostProcess:
         requests_r, requests_w = os.pipe()
         replies_r, replies_w = os.pipe()
         path = [os.path.join(_IMPORT_CWD, entry) for entry in sys.path]
-        boot = f"import sys; sys.path[:] = {path!r}; from pilotq.hostproc import main; main()"
+        boot = f"import sys; sys.path[:] = {path!r}" + _BOOT
         try:
             self.proc = subprocess.Popen(
                 [sys.executable, "-c", boot, str(requests_r), str(replies_w)],
@@ -152,18 +168,17 @@ class _HostProcess:
 
     def call(self, fn, args, kwargs):
         request = pickle.dumps((fn, args, kwargs), pickle.HIGHEST_PROTOCOL)
-        try:
+        with suppress(BrokenPipeError):  # a process that failed to start has still written why
             write_frame(self._requests, request)
-            reply = read_frame(self._replies)
-        except BrokenPipeError:
-            reply = None
-        if reply is None:
+        reply = read_frame(self._replies)
+        ok, *outcome = (None, "") if reply is None else pickle.loads(reply)
+        if ok is None:  # the process is gone, with its start-up error if it never ran
             self.close()
+            cause = f": {outcome[0]}" if outcome[0] else ""
             raise HostProcessExited(
                 f"host worker process {self.proc.pid} exited with status "
-                f"{self.proc.returncode} while running {fn.__module__}.{fn.__qualname__}"
+                f"{self.proc.returncode} while running {fn.__module__}.{fn.__qualname__}{cause}"
             )
-        ok, *outcome = pickle.loads(reply)
         if ok:
             return outcome[0]
         exc, text = outcome

@@ -8,15 +8,12 @@ from pilotq.bench.runners import (
     cmd_throughput,
     cmd_vqc,
     load_session,
-    nontiming_columns,
-    read_csv,
     write_csv,
 )
 from pilotq.bench.vqc import (
     BATCH_GRADIENT_FN,
     VqcConfig,
     batch_gradient,
-    classifier_circuit,
     evaluate,
     make_blobs,
     train_vqc,
@@ -28,7 +25,6 @@ __all__ = [
     "SESSION_FILE",
     "VqcConfig",
     "batch_gradient",
-    "classifier_circuit",
     "cmd_circuits",
     "cmd_cut",
     "cmd_gradients",
@@ -38,8 +34,6 @@ __all__ = [
     "evaluate",
     "load_session",
     "make_blobs",
-    "nontiming_columns",
-    "read_csv",
     "train_vqc",
     "write_csv",
 ]

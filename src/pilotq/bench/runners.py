@@ -68,7 +68,6 @@ from pilotq.qsim.simulate import (
 )
 
 SESSION_FILE = ".pq-session.json"
-TIMING_SUFFIXES = ("_s", "_ms")
 
 
 @dataclass(frozen=True)
@@ -113,18 +112,6 @@ def write_csv(path, fieldnames, rows) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-
-
-def read_csv(path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
-
-
-def nontiming_columns(rows: list[dict]) -> list[dict]:
-    """Rows with wall-clock columns removed; the determinism comparison view."""
-    return [
-        {k: v for k, v in row.items() if not k.endswith(TIMING_SUFFIXES)} for row in rows
-    ]
 
 
 def write_session(payload: dict, session_path=SESSION_FILE) -> None:

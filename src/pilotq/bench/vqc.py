@@ -30,7 +30,7 @@ import numpy as np
 from pilotq.codec import JsonRecord
 from pilotq.errors import PilotQError, ValidationError
 from pilotq.model import ClassicalPayload, TaskDescription, TaskKind, TaskState, validate_seed
-from pilotq.qsim.circuit import Circuit, Gate, sel_circuit
+from pilotq.qsim.circuit import sel_circuit
 from pilotq.qsim.gradients import adjoint_sweep
 from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES, apply_gate, check_memory_cap
 
@@ -80,15 +80,6 @@ def make_blobs(samples: int, n_features: int, seed: int) -> tuple[np.ndarray, np
     labels = np.concatenate([np.zeros(per, int), np.ones(samples - per, int)])
     order = rng.permutation(samples)
     return features[order], labels[order]
-
-
-def classifier_circuit(features, params, n_qubits: int, layers: int) -> Circuit:
-    """Angle encoding prepended to the trainable strongly-entangling ansatz."""
-    if len(features) != n_qubits:
-        raise ValidationError("one feature per qubit required")
-    encoding = tuple(Gate("RY", (q,), float(x)) for q, x in enumerate(features))
-    ansatz = sel_circuit(n_qubits, layers, params)
-    return Circuit(n_qubits, encoding + ansatz.gates)
 
 
 def batch_gradient(

@@ -134,33 +134,20 @@ def clustered_circuit(cluster_sizes, reps: int = 1, seed: int = 0) -> Circuit:
 
 
 @dataclass(frozen=True)
-class CutSpec(JsonRecord):
-    """One severed wire, identified by the original qubit it runs on."""
-
-    cut_id: int
-    original_qubit: int
-    upstream_fragment: int
-    upstream_wire: int
-    downstream_fragment: int
-    downstream_wire: int
-
-
-@dataclass(frozen=True)
 class FragmentSpec(JsonRecord):
     """One fragment: its local circuit before any prep/basis injections.
 
     `letters` holds the observable's Z letters on local wires (a letter on
-    a cut wire lives in the downstream fragment). `qubit_map` sends local
-    wires back to original qubits; an incoming cut wire maps to the qubit
-    it continues.
+    a cut wire lives in the downstream fragment). `prep_wire` is the local
+    wire that re-prepares the cut from the fragment before, `measure_wire`
+    the local wire measured for the cut to the fragment after; each is None
+    at its end of the chain.
     """
 
-    index: int
     circuit: Circuit
     letters: dict[int, str]
-    qubit_map: dict[int, int]
-    measured_cuts: tuple[int, ...]
-    prepped_cuts: tuple[int, ...]
+    prep_wire: int | None = None
+    measure_wire: int | None = None
 
     @property
     def width(self) -> int:
@@ -169,14 +156,24 @@ class FragmentSpec(JsonRecord):
 
 @dataclass(frozen=True)
 class CutPlan(JsonRecord):
-    num_qubits: int
+    """A chain of fragments; cut f joins fragment f to fragment f+1."""
+
     observable: PauliObservable
     fragments: tuple[FragmentSpec, ...]
-    cuts: tuple[CutSpec, ...]
+
+    def __post_init__(self):
+        # An unpaired cut end would still reconstruct, to a wrong value.
+        last = len(self.fragments) - 1
+        ends = [(f.prep_wire is not None, f.measure_wire is not None) for f in self.fragments]
+        if not ends or ends != [(f > 0, f < last) for f in range(last + 1)]:
+            raise ValidationError(
+                "a cut plan is a chain: every fragment but the first preps a cut, "
+                "and every fragment but the last measures one"
+            )
 
     @property
     def num_cuts(self) -> int:
-        return len(self.cuts)
+        return len(self.fragments) - 1
 
     @property
     def sampling_overhead(self) -> float:
@@ -236,7 +233,6 @@ def find_cuts(circuit: Circuit, observable: PauliObservable, max_width: int) -> 
 
     num_fragments = len(boundaries) + 1
     fragments: list[FragmentSpec] = []
-    cuts: list[CutSpec] = []
     body_by_cluster: dict[int, list[Gate]] = {ci: [] for ci in range(num_fragments)}
     for g in body:
         body_by_cluster[cluster_of[g.qubits[0]]].append(g)
@@ -246,6 +242,9 @@ def find_cuts(circuit: Circuit, observable: PauliObservable, max_width: int) -> 
         incoming = ci > 0
         local_of = {q: (q - start + (1 if incoming else 0)) for q in range(start, end + 1)}
         width = end - start + 1 + (1 if incoming else 0)
+        # The cut in re-prepares a fresh wire 0; the cut out measures the
+        # wire of the cluster's last qubit, which is the next boundary.
+        measure_wire = local_of[end] if ci < len(boundaries) else None
         frag_gates = [
             Gate(g.name, tuple(local_of[q] for q in g.qubits), g.param)
             for g in body_by_cluster[ci]
@@ -254,27 +253,10 @@ def find_cuts(circuit: Circuit, observable: PauliObservable, max_width: int) -> 
             frag_gates.append(Gate("CNOT", (0, local_of[start])))
 
         letters: dict[int, str] = {}
-        qubit_map = {local: orig for orig, local in local_of.items()}
-        if incoming:
-            qubit_map[0] = boundaries[ci - 1]
-            if string[boundaries[ci - 1]] != "I":
-                letters[0] = string[boundaries[ci - 1]]
-        measured: tuple[int, ...] = ()
-        if ci < len(boundaries):
-            b = boundaries[ci]
-            measured = (ci,)
-            cuts.append(
-                CutSpec(
-                    cut_id=ci,
-                    original_qubit=b,
-                    upstream_fragment=ci,
-                    upstream_wire=local_of[b],
-                    downstream_fragment=ci + 1,
-                    downstream_wire=0,
-                )
-            )
+        if incoming and string[boundaries[ci - 1]] != "I":
+            letters[0] = string[boundaries[ci - 1]]
         for q in range(start, end + 1):
-            if string[q] != "I" and not (measured and q == boundaries[ci]):
+            if string[q] != "I" and local_of[q] != measure_wire:
                 letters[local_of[q]] = string[q]
         # X/Y observable letters become Z measurements after a fixed
         # end-of-circuit rotation on their wire.
@@ -289,21 +271,14 @@ def find_cuts(circuit: Circuit, observable: PauliObservable, max_width: int) -> 
             )
         fragments.append(
             FragmentSpec(
-                index=ci,
                 circuit=Circuit(width, tuple(frag_gates)),
                 letters=letters,
-                qubit_map=qubit_map,
-                measured_cuts=measured,
-                prepped_cuts=(ci - 1,) if incoming else (),
+                prep_wire=0 if incoming else None,
+                measure_wire=measure_wire,
             )
         )
 
-    return CutPlan(
-        num_qubits=circuit.num_qubits,
-        observable=observable,
-        fragments=tuple(fragments),
-        cuts=tuple(cuts),
-    )
+    return CutPlan(observable=observable, fragments=tuple(fragments))
 
 
 # --- subexperiments and reconstruction -------------------------------------------
@@ -354,36 +329,38 @@ class Reconstruction(JsonRecord):
         return len(WIRE_CUT_TERMS) ** sum(measured for _, measured in self.cuts)
 
 
+def _runs_on(wire: int | None, tag: str, labels, gates) -> list[tuple[str, tuple[Gate, ...]]]:
+    """(key part, gates on `wire`) per label for a cut end, or one empty
+    run where the fragment has no cut."""
+    if wire is None:
+        return [("", ())]
+    return [
+        (f",{tag}={label}", tuple(Gate(name, (wire,)) for name in gates[label]))
+        for label in labels
+    ]
+
+
 def generate_subexperiments(plan: CutPlan) -> tuple[list[Subexperiment], Reconstruction]:
     """All fragment circuits to run, fragment by fragment, then prep labels,
-    then bases, plus the expansion that combines their values in that order."""
+    then bases, plus the expansion that combines their values in that order.
+    Fragment f preps cut f-1 and measures cut f."""
     subs: list[Subexperiment] = []
-    for frag in plan.fragments:
-        masks = [sum(1 << wire for wire in frag.letters)]
-        for c in frag.measured_cuts:
-            masks += [mask | 1 << plan.cuts[c].upstream_wire for mask in masks]
-        for preps in itertools.product(PREP_LABELS, repeat=len(frag.prepped_cuts)):
-            prefix = tuple(
-                Gate(name, (plan.cuts[c].downstream_wire,))
-                for c, label in zip(frag.prepped_cuts, preps)
-                for name in _PREP_GATES[label]
+    for f, frag in enumerate(plan.fragments):
+        masks = (sum(1 << wire for wire in frag.letters),)
+        if frag.measure_wire is not None:
+            masks += (masks[0] | 1 << frag.measure_wire,)
+        preps = _runs_on(frag.prep_wire, f"p{f - 1}", PREP_LABELS, _PREP_GATES)
+        bases = _runs_on(frag.measure_wire, f"b{f}", MEASURE_BASES, _BASIS_ROTATIONS)
+        for (prep_key, prefix), (basis_key, suffix) in itertools.product(preps, bases):
+            circuit = Circuit(frag.width, prefix + frag.circuit.gates + suffix)
+            subs.append(
+                Subexperiment(key=f"f{f}{prep_key}{basis_key}", circuit=circuit, masks=masks)
             )
-            for bases in itertools.product(MEASURE_BASES, repeat=len(frag.measured_cuts)):
-                suffix = tuple(
-                    Gate(name, (plan.cuts[c].upstream_wire,))
-                    for c, basis in zip(frag.measured_cuts, bases)
-                    for name in _BASIS_ROTATIONS[basis]
-                )
-                key = ",".join(
-                    [f"f{frag.index}"]
-                    + [f"p{c}={label}" for c, label in zip(frag.prepped_cuts, preps)]
-                    + [f"b{c}={basis}" for c, basis in zip(frag.measured_cuts, bases)]
-                )
-                circuit = Circuit(frag.width, prefix + frag.circuit.gates + suffix)
-                subs.append(Subexperiment(key=key, circuit=circuit, masks=tuple(masks)))
 
     obs_coeff, _ = plan.observable.terms[0]
-    cuts = tuple((len(f.prepped_cuts), len(f.measured_cuts)) for f in plan.fragments)
+    cuts = tuple(
+        (int(f.prep_wire is not None), int(f.measure_wire is not None)) for f in plan.fragments
+    )
     return subs, Reconstruction(coeff=obs_coeff, cuts=cuts)
 
 

@@ -12,7 +12,9 @@ after every call.
 
 A reply is `(True, result)` or `(False, exception, "Type: message")`. The
 exception travels pickled, as None if it does not survive a pickle round
-trip; the parent then raises `RuntimeError("Type: message")` instead. The
+trip; the parent then raises `RuntimeError("Type: message")` instead. A
+process that cannot import this module answers its first request, from
+the boot command, with `(None, "Type: message")` and exits. The
 process ends at the end of its request stream: the parent closes its end at
 exit, or the operating system does if the parent dies. SIGINT is ignored,
 so a Ctrl-C at the terminal stops the parent only, and the parent then ends

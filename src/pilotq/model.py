@@ -27,7 +27,6 @@ caller has to remember a separate check.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -233,10 +232,6 @@ class Timestamps(JsonRecord):
     start_s: float | None = None
     end_s: float | None = None
 
-    def monotone(self) -> bool:
-        seen = [t for t in (self.submit_s, self.schedule_s, self.start_s, self.end_s) if t is not None]
-        return all(a <= b for a, b in zip(seen, seen[1:]))
-
 
 @dataclass(frozen=True)
 class TaskRecord(JsonRecord):
@@ -340,10 +335,3 @@ def transition(
         )
 
     raise ValidationError(f"unknown lifecycle event: {event!r}")
-
-
-# --- serialization helpers ------------------------------------------------------
-
-def dumps(obj: JsonRecord) -> str:
-    """Compact JSON with sorted keys for any record."""
-    return json.dumps(obj.to_json_dict(), separators=(",", ":"), sort_keys=True)

@@ -12,7 +12,6 @@ from pilotq.qsim.gradients import adjoint_gradient
 from pilotq.qsim.simulate import (
     DEFAULT_MEMORY_CAP_BYTES,
     StateVector,
-    bitstring,
     check_memory_cap,
     expectation,
     memory_bytes,
@@ -28,7 +27,6 @@ __all__ = [
     "StateVector",
     "DEFAULT_MEMORY_CAP_BYTES",
     "adjoint_gradient",
-    "bitstring",
     "check_memory_cap",
     "efficient_su2",
     "expectation",

@@ -79,15 +79,6 @@ class Circuit(JsonRecord):
             raise ValidationError("param_index values must be dense 0..num_params-1")
         object.__setattr__(self, "num_params", num_params)
 
-    @property
-    def parameters(self) -> np.ndarray:
-        """Current angles of the trainable gates, by param_index."""
-        out = np.zeros(self.num_params)
-        for g in self.gates:
-            if g.param_index is not None:
-                out[g.param_index] = g.param
-        return out
-
     def bind(self, params) -> "Circuit":
         """New circuit with trainable angles replaced by params[param_index]."""
         params = np.asarray(params, dtype=float)
@@ -132,6 +123,8 @@ class PauliObservable(JsonRecord):
         """One Pauli string with the given letters, identity elsewhere."""
         chars = ["I"] * num_qubits
         for q, letter in letters.items():
+            if not 0 <= q < num_qubits:
+                raise ValidationError(f"qubit {q} is outside 0..{num_qubits - 1}")
             chars[q] = letter
         return cls(terms=((coeff, "".join(chars)),))
 

@@ -524,13 +524,8 @@ def sample(state: StateVector, shots: int, seed: int) -> dict[str, int]:
     return dict(zip(keys, counts.tolist()))
 
 
-def bitstring(index: int, num_qubits: int) -> str:
-    """Little-endian rendering: character q is the state of qubit q."""
-    return "".join(str((index >> q) & 1) for q in range(num_qubits))
-
-
 def counts_probabilities(counts: Mapping[str, int], num_qubits: int) -> np.ndarray:
-    """Inverse of `sample`: counts keyed by `bitstring` as a probability vector."""
+    """Inverse of `sample`: its little-endian counts as a probability vector."""
     freq = np.zeros(2**num_qubits)
     for bits, n in counts.items():
         if len(bits) != num_qubits or not set(bits) <= {"0", "1"}:

@@ -1,4 +1,5 @@
-"""Shared test helpers: pilot/task factories and a dense-matrix circuit oracle.
+"""Shared test helpers: pilot/task factories, record and circuit probes, CSV
+readers, and a dense-matrix circuit oracle.
 
 The oracle builds every gate as an explicit 2^n x 2^n matrix from basis-index
 arithmetic and multiplies it onto the state. It shares no kernel code with
@@ -8,10 +9,12 @@ the two is evidence, not tautology.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 
+from pilotq.errors import ValidationError
 from pilotq.model import (
     BackendKind,
     PilotDescription,
@@ -19,6 +22,7 @@ from pilotq.model import (
     TaskDescription,
     TaskKind,
 )
+from pilotq.qsim.circuit import Circuit, Gate, sel_circuit
 
 # --- factories -------------------------------------------------------------------
 
@@ -47,6 +51,60 @@ def qpu_desc(name="q0", qubits=16, cores=2, latency_s=0.0, base_delay_s=0.0, **k
 
 def zero_task(i=0, prefix="z", **kw) -> TaskDescription:
     return TaskDescription(task_id=f"{prefix}{i}", kind=TaskKind.ZERO_COMPUTE, **kw)
+
+
+# --- record and circuit probes ----------------------------------------------------
+
+
+def monotone(timestamps) -> bool:
+    """The stamps that are set never go back in time; gaps and ties allowed."""
+    seen = [
+        t
+        for t in (timestamps.submit_s, timestamps.schedule_s, timestamps.start_s, timestamps.end_s)
+        if t is not None
+    ]
+    return all(a <= b for a, b in zip(seen, seen[1:]))
+
+
+def parameters(circuit) -> np.ndarray:
+    """Current angles of a circuit's trainable gates, by param_index."""
+    out = np.zeros(circuit.num_params)
+    for g in circuit.gates:
+        if g.param_index is not None:
+            out[g.param_index] = g.param
+    return out
+
+
+def bitstring(index: int, num_qubits: int) -> str:
+    """Little-endian rendering: character q is the state of qubit q."""
+    return "".join(str((index >> q) & 1) for q in range(num_qubits))
+
+
+def classifier_circuit(features, params, n_qubits: int, layers: int) -> Circuit:
+    """Angle encoding prepended to the trainable strongly-entangling ansatz:
+    the circuit whose expectations the VQC's batch kernel computes."""
+    if len(features) != n_qubits:
+        raise ValidationError("one feature per qubit required")
+    encoding = tuple(Gate("RY", (q,), float(x)) for q, x in enumerate(features))
+    ansatz = sel_circuit(n_qubits, layers, params)
+    return Circuit(n_qubits, encoding + ansatz.gates)
+
+
+# --- CSV outputs ---------------------------------------------------------------------
+
+TIMING_SUFFIXES = ("_s", "_ms")
+
+
+def read_csv(path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def nontiming_columns(rows: list[dict]) -> list[dict]:
+    """Rows with wall-clock columns removed; the determinism comparison view."""
+    return [
+        {k: v for k, v in row.items() if not k.endswith(TIMING_SUFFIXES)} for row in rows
+    ]
 
 
 # --- dense matrix oracle ------------------------------------------------------------

@@ -16,10 +16,13 @@ from helpers import (
     assignments_by_pilot,
     audit_events,
     local_desc,
+    nontiming_columns,
+    parameters,
     qpu_desc,
+    read_csv,
     zero_task,
 )
-from pilotq.bench.runners import cmd_circuits, cmd_throughput, nontiming_columns, read_csv
+from pilotq.bench.runners import cmd_circuits, cmd_throughput
 from pilotq.bench.vqc import VqcConfig, _batch_slices, batch_gradient, make_blobs, train_vqc
 from pilotq.cli import main as cli_main
 from pilotq.cutting import (
@@ -132,22 +135,8 @@ def test_criterion_02_wire_cut_identity_completeness():
 def test_criterion_03_sampling_overhead_law():
     # k = 0: a plan with no cuts is a single whole-circuit fragment
     circuit = clustered_circuit([4], reps=1, seed=0)
-    whole = FragmentSpec(
-        index=0,
-        circuit=circuit,
-        letters={0: "Z"},
-        qubit_map={q: q for q in range(4)},
-        measured_cuts=(),
-        prepped_cuts=(),
-    )
-    plans = [
-        CutPlan(
-            num_qubits=4,
-            observable=PauliObservable.single(4, {0: "Z"}),
-            fragments=(whole,),
-            cuts=(),
-        )
-    ]
+    whole = FragmentSpec(circuit=circuit, letters={0: "Z"})
+    plans = [CutPlan(observable=PauliObservable.single(4, {0: "Z"}), fragments=(whole,))]
     for k in range(1, 5):
         sizes = [2] * (k + 1)
         n = sum(sizes)
@@ -188,7 +177,7 @@ def test_criterion_03_sampling_overhead_law():
 
 
 def _central_fd(circuit, observable, h: float = 1e-5) -> np.ndarray:
-    base = np.asarray(circuit.parameters, dtype=float)
+    base = np.asarray(parameters(circuit), dtype=float)
     out = np.zeros(len(base))
     for i in range(len(base)):
         shift = np.zeros(len(base))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import local_desc, qpu_desc, zero_task
+from helpers import local_desc, monotone, qpu_desc, zero_task
 import pilotq
 from pilotq.agent import PilotAgent, task_seed
 from pilotq.backends import ResourceBackend, run_registered
@@ -61,7 +61,7 @@ def test_zero_compute_roundtrip_has_monotone_stamps():
         rec = agent.store.get(tid)
         assert rec.state is TaskState.DONE
         assert rec.assigned_pilot == agent.name
-        assert rec.timestamps.monotone()
+        assert monotone(rec.timestamps)
         assert rec.timestamps.end_s is not None
     finally:
         agent.shutdown()
@@ -737,3 +737,37 @@ def test_a_host_process_resolves_a_relative_sys_path_entry_after_chdir(tmp_path)
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [str(task_seed("x"))]
+
+
+# A host process that cannot import pilotq: a directory put first on sys.path
+# after the parent's import shadows the package with one that fails.
+_BROKEN_IMPORT_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+import pilotq.agent
+from pilotq.backends import run_registered
+sys.path.insert(0, {shadow!r})
+try:
+    run_registered(pilotq.agent.task_seed, "x")
+except Exception as exc:
+    print(type(exc).__name__, exc)
+sys.path.remove({shadow!r})
+print(run_registered(pilotq.agent.task_seed, "x"))
+"""
+
+
+def test_a_host_process_that_cannot_start_reports_why(tmp_path):
+    (tmp_path / "pilotq").mkdir()
+    (tmp_path / "pilotq" / "__init__.py").write_text('raise ImportError("boom")\n')
+    script = _BROKEN_IMPORT_SCRIPT.format(
+        src=str(Path(pilotq.__file__).parent.parent), shadow=str(tmp_path)
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    failure, answer = done.stdout.splitlines()
+    assert failure.startswith("HostProcessExited ")
+    assert "ImportError: boom" in failure
+    # the dead process is replaced at the next call, which now imports pilotq
+    assert answer == str(task_seed("x"))

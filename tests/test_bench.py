@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import classifier_circuit, nontiming_columns, read_csv
 from pilotq.bench.runners import (
     RunMetrics,
     cmd_circuits,
@@ -16,8 +17,6 @@ from pilotq.bench.runners import (
     cmd_throughput,
     cmd_vqc,
     load_session,
-    nontiming_columns,
-    read_csv,
     write_csv,
     write_session,
 )
@@ -26,7 +25,6 @@ from pilotq.bench.vqc import (
     VqcConfig,
     _batch_slices,
     batch_gradient,
-    classifier_circuit,
     evaluate,
     make_blobs,
     train_vqc,

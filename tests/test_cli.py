@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pilotq.bench.runners import read_csv
+from helpers import read_csv
 from pilotq.cli import TABLES, main, parse_int_list, resolve_options
 from pilotq.errors import ValidationError
 

@@ -86,7 +86,6 @@ RECORDS = [
         queue_model=QueueModel(base_delay_s=2.0, jitter_s=0.5),
     ),
     AgentMetrics(tasks_done=3, tasks_failed=1, busy_cores=2, queue_depth=4),
-    _PLAN.cuts[0],
     _PLAN.fragments[1],
     _PLAN,
     _SUBS[-1],

@@ -126,14 +126,24 @@ def test_find_cuts_splits_a_two_cluster_chain():
     up, down = plan.fragments
     assert up.width == 3
     assert down.width == 4  # cluster plus the incoming cut wire
-    (cut,) = plan.cuts
-    assert cut.original_qubit == 2
-    assert cut.upstream_wire == 2
-    assert cut.downstream_wire == 0
+    # original qubit 2 is measured on the upstream fragment's wire 2 and
+    # re-prepared on the downstream fragment's fresh wire 0
+    assert (up.prep_wire, up.measure_wire) == (None, 2)
+    assert (down.prep_wire, down.measure_wire) == (0, None)
     assert up.letters == {0: "Z"}
     assert down.letters == {3: "Z"}  # original qubit 5 is local wire 3
-    assert down.qubit_map[0] == 2  # the fresh wire continues original qubit 2
     assert plan.sampling_overhead == 16.0
+
+    # fragment f preps cut f-1 and measures cut f; the run keys name both
+    pair = find_cuts(clustered_circuit([2, 2], reps=1, seed=5), PauliObservable.single(4, {0: "Z"}), 3)
+    subs, _ = generate_subexperiments(pair)
+    assert [sub.key for sub in subs] == [
+        "f0,b0=Z", "f0,b0=X", "f0,b0=Y",
+        "f1,p0=0", "f1,p0=1", "f1,p0=+", "f1,p0=-", "f1,p0=+i", "f1,p0=-i",
+    ]
+    chain = find_cuts(clustered_circuit([2, 2, 2], reps=1, seed=5), PauliObservable.single(6, {0: "Z"}), 3)
+    assert chain.num_cuts == 2
+    assert [(f.prep_wire, f.measure_wire) for f in chain.fragments] == [(None, 1), (0, 2), (0, None)]
 
 
 def test_letter_on_the_cut_wire_moves_downstream():
@@ -368,20 +378,27 @@ def test_list_states_give_the_fragment_readouts_of_numpy_states(monkeypatch):
 def test_a_plan_without_cuts_reconstructs_its_one_fragment():
     circ = clustered_circuit([4], reps=1, seed=0)
     obs = PauliObservable.single(4, {0: "Z"})
-    whole = FragmentSpec(
-        index=0,
-        circuit=circ,
-        letters={0: "Z"},
-        qubit_map={q: q for q in range(4)},
-        measured_cuts=(),
-        prepped_cuts=(),
-    )
-    plan = CutPlan(num_qubits=4, observable=obs, fragments=(whole,), cuts=())
+    whole = FragmentSpec(circuit=circ, letters={0: "Z"})
+    plan = CutPlan(observable=obs, fragments=(whole,))
     subs, terms = generate_subexperiments(plan)
     assert len(subs) == 1
     assert len(terms) == 1
     values = [fragment_values(subs[0], probabilities=probabilities(run_circuit(subs[0].circuit)))]
     assert reconstruct(terms, values) == pytest.approx(expectation(run_circuit(circ), obs), abs=1e-12)
+
+
+def test_a_plan_is_a_chain_with_both_ends_of_every_cut():
+    plan = find_cuts(clustered_circuit([2, 2], reps=1, seed=1), PauliObservable.single(4, {0: "Z"}), 3)
+    up, down = plan.fragments
+    unpaired = [
+        (up, FragmentSpec(circuit=down.circuit, letters=down.letters)),  # cut 0 never prepped
+        (FragmentSpec(circuit=up.circuit, letters=up.letters), down),  # cut 0 never measured
+        (FragmentSpec(circuit=up.circuit, letters=up.letters, prep_wire=0), down),  # nothing before it
+        (),
+    ]
+    for fragments in unpaired:
+        with pytest.raises(ValidationError, match="a cut plan is a chain"):
+            CutPlan(observable=plan.observable, fragments=fragments)
 
 
 def test_identity_observable_reconstructs_to_its_coefficient():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import monotone
 from pilotq.errors import IllegalTransition, ValidationError
 from pilotq.model import (
     DEFAULT_QUEUE_MODELS,
@@ -22,7 +23,6 @@ from pilotq.model import (
     TaskResult,
     TaskState,
     Timestamps,
-    dumps,
     new_record,
     transition,
     validate_seed,
@@ -134,7 +134,7 @@ def test_lifecycle_stamps_timestamps_in_order():
     rec = transition(rec, "start", at=3.5)
     rec = transition(rec, "complete", at=7.0, result=TaskResult(value=1.0))
     assert rec.timestamps == Timestamps(submit_s=1.0, schedule_s=2.0, start_s=3.5, end_s=7.0)
-    assert rec.timestamps.monotone()
+    assert monotone(rec.timestamps)
     assert rec.result.value == 1.0
     assert rec.assigned_pilot == "p"
 
@@ -162,8 +162,8 @@ def test_terminal_matches_terminal_states():
 
 
 def test_monotone_rejects_out_of_order_stamps():
-    assert not Timestamps(submit_s=2.0, schedule_s=1.0).monotone()
-    assert Timestamps(submit_s=1.0, start_s=1.0).monotone()  # gaps and ties allowed
+    assert not monotone(Timestamps(submit_s=2.0, schedule_s=1.0))
+    assert monotone(Timestamps(submit_s=1.0, start_s=1.0))  # gaps and ties allowed
 
 
 # --- validation ---------------------------------------------------------------------
@@ -372,13 +372,13 @@ def _task_descriptions(draw):
 @settings(max_examples=50, deadline=None)
 @given(_pilot_descriptions())
 def test_pilot_description_round_trips_through_json(desc):
-    assert PilotDescription.from_json_dict(json.loads(dumps(desc))) == desc
+    assert PilotDescription.from_json_dict(json.loads(json.dumps(desc.to_json_dict()))) == desc
 
 
 @settings(max_examples=50, deadline=None)
 @given(_task_descriptions())
 def test_task_description_round_trips_through_json(desc):
-    assert TaskDescription.from_json_dict(json.loads(dumps(desc))) == desc
+    assert TaskDescription.from_json_dict(json.loads(json.dumps(desc.to_json_dict()))) == desc
 
 
 @settings(max_examples=50, deadline=None)
@@ -398,11 +398,11 @@ def test_task_record_round_trips_through_json(desc, state, attempt, value):
         result=TaskResult(value=value, counts={"01": 3}, exec_s=0.25),
         error="x" if state is TaskState.FAILED else None,
     )
-    assert TaskRecord.from_json_dict(json.loads(dumps(rec))) == rec
+    assert TaskRecord.from_json_dict(json.loads(json.dumps(rec.to_json_dict()))) == rec
 
 
 def test_task_result_probabilities_round_trip_as_tuple():
     res = TaskResult(probabilities=(0.5, 0.25, 0.25, 0.0))
-    back = TaskResult.from_json_dict(json.loads(dumps(res)))
+    back = TaskResult.from_json_dict(json.loads(json.dumps(res.to_json_dict())))
     assert back == res
     assert isinstance(back.probabilities, tuple)

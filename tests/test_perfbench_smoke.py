@@ -18,21 +18,35 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
-def test_each_benchmark_workload_runs_correctly(workload):
+def _run(workload: str, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "0", "--seconds", "0.5", "--trace", "0"],
+         "--seed", "0", "--seconds", "0.5", "--trace", str(trace)],
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_each_benchmark_workload_runs_correctly(workload):
+    result = _run(workload, trace=0)
     assert result["correct"] is True
     assert result["failed"] == 0
     assert set(result["metrics"]) == {m["name"] for m in SPEC["end_to_end"]}
+
+
+def test_a_traced_cut_run_counts_its_plan():
+    # the tracer reads generate_subexperiments' (subs, reconstruction) and
+    # the reconstruction's len for the plan's size
+    result = _run("cut", trace=1)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["cutting.subexperiments"]["value"] == 81
+    assert result["metrics"]["cutting.terms"]["value"] == 32768
 
 
 def test_every_traced_name_resolves_in_pilotq():

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import parameters
 from pilotq.errors import MemoryCapExceeded, ValidationError
 from pilotq.qsim.circuit import Circuit, Gate, PauliObservable, sel_circuit
 from pilotq.qsim.gradients import adjoint_gradient
@@ -19,7 +20,7 @@ FD_H = 1e-5
 
 
 def central_fd(circuit, observable, h=FD_H) -> np.ndarray:
-    base = circuit.parameters
+    base = parameters(circuit)
     grad = np.zeros_like(base)
     for i in range(base.size):
         up, down = base.copy(), base.copy()

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from helpers import (
     ORACLE_FIXED,
+    bitstring,
     gate_to_matrix,
     observable_matrix,
     oracle_expectation,
     oracle_rotation,
     oracle_run,
+    parameters,
     pauli_string_matrix,
 )
 from pilotq.backends import simulate_readout
@@ -31,7 +33,6 @@ from pilotq.qsim.circuit import (
 from pilotq.qsim.simulate import (
     DEFAULT_MEMORY_CAP_BYTES,
     apply_gate,
-    bitstring,
     check_memory_cap,
     counts_probabilities,
     expectation,
@@ -489,10 +490,10 @@ def test_parameters_and_bind():
     params = np.linspace(0.1, 0.6, 6)
     circ = sel_circuit(2, 1, params)
     assert circ.num_params == 6
-    assert np.allclose(circ.parameters, params)
+    assert np.allclose(parameters(circ), params)
     rebound = circ.bind(params * 2)
-    assert np.allclose(rebound.parameters, params * 2)
-    assert np.allclose(circ.parameters, params)  # original untouched
+    assert np.allclose(parameters(rebound), params * 2)
+    assert np.allclose(parameters(circ), params)  # original untouched
     with pytest.raises(ValidationError):
         circ.bind(params[:-1])
 
@@ -539,6 +540,10 @@ def test_observable_validation_and_width():
         PauliObservable(terms=((1.0, "A"),))
     with pytest.raises(ValidationError):
         PauliObservable(terms=((1.0, "ZZ"), (1.0, "Z")))
+    # -1 must not index from the end and put the letter on qubit 3
+    for qubit in (-1, 4):
+        with pytest.raises(ValidationError, match=f"qubit {qubit} is outside 0..3"):
+            PauliObservable.single(4, {qubit: "Z"})
     obs = PauliObservable.single(4, {1: "X", 3: "Y"}, coeff=-2.0)
     assert obs.terms == ((-2.0, "IXIY"),)
     assert obs.num_qubits == 4

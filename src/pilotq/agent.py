@@ -1,13 +1,20 @@
-"""Pilot agent: the per-pilot executor.
+"""Pilot agent: the per-pilot executor, and the one judge of what it can run.
+
+`fits` is the feasibility rule; `assign` and the manager's placement and
+`feasible_pilots` all call it. A task fits if it targets no pilot or this
+one, and its requires_cores fit the worker slots, its requires_gpus the
+allocation's GPUs and its requires_qubits the pilot's qubit capacity: a
+qpu_sim pilot's qpu_qubits, and for a classical pilot, which simulates
+in-agent, the widest state the simulator's default memory cap admits. A
+qpu_sim pilot only samples, so a circuit with shots=0 needs a classical
+pilot. `assign` raises ValidationError for a task that does not fit.
 
 A fixed pool of worker threads pulls tasks off the agent's FIFO queue.
 Admission is core-slot based: the pool has `workers` slots (default: the
 allocation's total cores) and a task occupies requires_cores of them, so
 the sum of requires_cores over running tasks never exceeds the worker
-count. `assign` rejects a task that could never fit: one wider than the
-slots or needing more GPUs than the allocation has. The queue is strictly
-FIFO; a wide task at the head blocks until enough slots free up, which
-preserves dispatch order.
+count. The queue is strictly FIFO; a wide task at the head blocks until
+enough slots free up, which preserves dispatch order.
 
 Queued tasks stay NEW; the worker that pulls one drives the
 schedule -> start -> complete/fail transitions through the shared task
@@ -23,7 +30,8 @@ Only while work is queued or a `wait_ready` caller waits does a worker
 wait out granted_at_s via `clock.wait_until` (the first through logs
 agent_ready), so an idle pilot moves no virtual time. Then it waits for
 runnable work with no timeout, as each change that can end a wait
-notifies. The agent refuses dispatch after expires_at_s.
+notifies; `wait_ready` waits on it too, for the grant or the stop rule.
+The agent refuses dispatch after expires_at_s.
 
 A classical task calls its registered function through
 `backends.run_registered`. A module-level function of an importable module
@@ -64,7 +72,11 @@ from pilotq.model import (
     TaskResult,
     TaskState,
 )
+from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES, sim_qubit_capacity
 from pilotq.store import TaskStore
+
+# The widest circuit a classical pilot simulates in-agent.
+_SIM_QUBITS = sim_qubit_capacity(DEFAULT_MEMORY_CAP_BYTES)
 
 
 @dataclass(frozen=True)
@@ -121,7 +133,7 @@ class PilotAgent:
         self._running_count = 0
         self._stop_mode: str | None = None
         self._final_metrics: AgentMetrics | None = None
-        self._ready = threading.Event()
+        self._granted = False
         self._ready_wanted = False
         self._threads: list[threading.Thread] = []
 
@@ -142,20 +154,34 @@ class PilotAgent:
         return self._store
 
     def wait_ready(self, timeout: float | None = None) -> bool:
+        """True once the pilot is granted; False if the agent stops first or
+        `timeout` (wall seconds, None for no limit) runs out."""
         with self._cond:
             self._ready_wanted = True  # idle workers now wait out the grant
             self._cond.notify_all()
-        return self._ready.wait(timeout)
+            self._cond.wait_for(lambda: self._granted or self._stopped(), timeout)
+            return self._granted
+
+    def fits(self, task: TaskDescription) -> bool:
+        """Whether this pilot could ever run `task`: the one feasibility rule."""
+        alloc = self.allocation
+        qpu = alloc.backend_kind is BackendKind.QPU_SIM
+        return (
+            task.target in (None, self.name)
+            and task.requires_cores <= self.workers
+            and task.requires_gpus <= alloc.total_gpus
+            and task.requires_qubits <= (alloc.qpu_qubits if qpu else _SIM_QUBITS)
+            and not (qpu and task.kind is TaskKind.QUANTUM_CIRCUIT and task.payload.shots == 0)
+        )
 
     def assign(self, record: TaskRecord) -> None:
         """Queue a NEW task for execution on this pilot; ValidationError if it
-        needs more cores than the worker slots or more GPUs than the allocation."""
+        does not fit."""
         desc = record.description
-        if desc.requires_cores > self.workers or desc.requires_gpus > self.allocation.total_gpus:
+        if not self.fits(desc):
             raise ValidationError(
-                f"task {record.task_id} needs {desc.requires_cores} cores and "
-                f"{desc.requires_gpus} gpus; pilot {self.name} has {self.workers} worker "
-                f"slots and {self.allocation.total_gpus} gpus"
+                f"task {record.task_id} (cores={desc.requires_cores} gpus={desc.requires_gpus} "
+                f"qubits={desc.requires_qubits} target={desc.target}) does not fit pilot {self.name}"
             )
         with self._cond:
             if self._stop_mode is not None:
@@ -221,15 +247,20 @@ class PilotAgent:
 
     # --- worker machinery --------------------------------------------------------
 
+    def _stopped(self) -> bool:
+        """The stop rule, read under `_cond`: a cancel stop holds at once, a
+        drain stop once the queue is empty."""
+        stop = self._stop_mode
+        return stop == "cancel" or (stop == "drain" and not self._queue)
+
     def _worker(self) -> None:
         grant = self.allocation.granted_at_s
         while True:
             with self._cond:
                 while True:
-                    stop = self._stop_mode
-                    if stop == "cancel" or (stop == "drain" and not self._queue):
+                    if self._stopped():
                         return
-                    if not self._ready.is_set() and (self._queue or self._ready_wanted):
+                    if not self._granted and (self._queue or self._ready_wanted):
                         if self._clock.now() < grant:
                             self._clock.wait_until(self._cond, grant)
                             continue
@@ -237,7 +268,8 @@ class PilotAgent:
                             "pilot", self.name, "agent_ready",
                             granted_at_s=grant, cores=self.allocation.total_cores,
                         )
-                        self._ready.set()
+                        self._granted = True
+                        self._cond.notify_all()  # wakes wait_ready callers
                     if self._queue and self._queue[0][1].requires_cores <= self._free_slots:
                         break
                     self._cond.wait()

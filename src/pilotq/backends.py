@@ -8,8 +8,8 @@ deterministic per the pilot description's seed) before the allocation
 becomes usable. Releasing the same allocation twice raises DoubleRelease.
 
 The granted `PilotAllocation` is the one runtime record of a pilot: the
-agent runs on it, the manager's placement reads its shape and kind, and
-`qpu_execute` accepts only a qpu_sim allocation and reads its queue model.
+agent runs on it and decides from it which tasks fit, and `qpu_execute`
+accepts only a qpu_sim allocation and reads its queue model.
 
 Task execution is shared with the agents. `run_timed` is the one timing
 policy: it sleeps the pilot's modelled per-task latency on the clock, then
@@ -40,7 +40,9 @@ touched only by the core's holder: exec'd as `python -c` with the parent's
 cwd at import of this module), never forked from the threaded parent
 (multiprocessing's spawn and forkserver methods would also start a resource
 tracker process, which can outlive the interpreter), started at the core's
-first call and replaced once it has exited. A function run there does not
+first call and replaced once it has exited. Its requests and replies
+travel over two pipes as `multiprocessing.connection.Connection` messages,
+the one use of multiprocessing here. A function run there does not
 share the caller's memory: its arguments and result are pickled copies, and
 what it changes in its module stays in that process. Its exception comes
 back with the same type and message; a process that exits mid-call fails
@@ -59,7 +61,6 @@ import atexit
 import collections
 import os
 import pickle
-import struct
 import subprocess
 import sys
 import threading
@@ -67,6 +68,7 @@ import time
 import types
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 
 import numpy as np
 
@@ -106,44 +108,23 @@ _EXIT_GRACE_S = 1.0
 # A relative sys.path entry names a directory under the cwd the entry was
 # added from; a host process starts after the caller may have changed it.
 _IMPORT_CWD = os.getcwd()
-_LENGTH = struct.Struct("<Q")  # a frame is its byte count, then that many bytes
 # Run after the parent's sys.path is in place. A process that cannot import
-# the worker loop writes one `(None, "Type: message")` frame, laid out by
-# hand as write_frame would, so the caller learns why it is gone; it then
-# exits with the traceback on stderr.
+# the worker loop sends one `(None, "Type: message")` reply, so the caller
+# learns why it is gone; it then exits with the traceback on stderr.
 _BOOT = """
 try:
     from pilotq.hostproc import main
 except BaseException as exc:
-    import os, pickle, struct
-    reply = pickle.dumps((None, f"{type(exc).__name__}: {exc}"))
-    with os.fdopen(int(sys.argv[2]), "wb") as replies:
-        replies.write(struct.pack("<Q", len(reply)) + reply)
+    from multiprocessing.connection import Connection
+    Connection(int(sys.argv[2]), readable=False).send((None, f"{type(exc).__name__}: {exc}"))
     raise
 main()
 """
 
 
-def write_frame(stream, data: bytes) -> None:
-    """Write one length-prefixed frame and flush it."""
-    stream.write(_LENGTH.pack(len(data)))
-    stream.write(data)
-    stream.flush()
-
-
-def read_frame(stream) -> bytes | None:
-    """The next frame's bytes; None at the end of the stream, whole or torn."""
-    head = stream.read(_LENGTH.size)
-    if len(head) < _LENGTH.size:
-        return None
-    (size,) = _LENGTH.unpack(head)
-    data = stream.read(size)
-    return data if len(data) == size else None
-
-
 class _HostProcess:
     """One exec'd host worker process, started with the parent's `sys.path`,
-    and the two pipes its frames travel on, used by one caller at a time."""
+    and the two pipes its messages travel on, used by one caller at a time."""
 
     def __init__(self):
         requests_r, requests_w = os.pipe()
@@ -163,14 +144,17 @@ class _HostProcess:
         finally:
             os.close(requests_r)
             os.close(replies_w)
-        self._requests = os.fdopen(requests_w, "wb")
-        self._replies = os.fdopen(replies_r, "rb")
+        self._requests = Connection(requests_w, readable=False)
+        self._replies = Connection(replies_r, writable=False)
 
     def call(self, fn, args, kwargs):
         request = pickle.dumps((fn, args, kwargs), pickle.HIGHEST_PROTOCOL)
-        with suppress(BrokenPipeError):  # a process that failed to start has still written why
-            write_frame(self._requests, request)
-        reply = read_frame(self._replies)
+        with suppress(BrokenPipeError):  # a process that failed to start has still sent why
+            self._requests.send_bytes(request)
+        try:
+            reply = self._replies.recv_bytes()
+        except (EOFError, OSError):  # the reply stream ended, whole or torn
+            reply = None
         ok, *outcome = (None, "") if reply is None else pickle.loads(reply)
         if ok is None:  # the process is gone, with its start-up error if it never ran
             self.close()
@@ -187,8 +171,7 @@ class _HostProcess:
     def close(self) -> None:
         """End the request stream, wait for the process to exit (killing it
         after a grace period), then close the reply stream."""
-        with suppress(OSError):
-            self._requests.close()
+        self._requests.close()
         try:
             self.proc.wait(_EXIT_GRACE_S)
         except subprocess.TimeoutExpired:

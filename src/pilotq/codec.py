@@ -7,6 +7,8 @@ field's type annotation (read once per class): tuple fields come back as
 tuples, `dict[int, T]` keys as ints, enums and nested dataclasses as
 themselves. An `int` field takes only a JSON integer: a bool or a float
 (2.7, and 2.0 too) raises ValidationError instead of being truncated. A
+`float` field takes only a JSON number: a bool, a string ("0.5" too) or
+any other value raises ValidationError instead of being converted. A
 missing key takes the field's default, and a union of dataclasses decodes
 as the alternative whose field names cover the keys. Fields declared with
 init=False are derived, so they are neither written nor read.
@@ -75,6 +77,8 @@ def decode(tp: Any, raw: Any) -> Any:
             raise ValidationError(f"expected an integer, got {raw!r}")
         return int(raw)
     if tp is float:
+        if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+            raise ValidationError(f"expected a number, got {raw!r}")
         return float(raw)
     if dataclasses.is_dataclass(tp):
         return tp(**{name: decode(hint, raw[name]) for name, hint in _fields(tp) if name in raw})

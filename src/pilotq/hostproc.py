@@ -3,32 +3,33 @@
 `backends` starts one of these per core, on the core's first call, exec'd
 rather than forked: a `python -c` command that puts the parent's `sys.path`
 in place, so functions resolve against the same source tree, and then calls
-`main` with the fds of two pipes of its own. Each request frame is a pickled
-`(fn, args, kwargs)`, and the process answers it with one reply frame before
-it reads the next. The function pickles by reference, so this process
-imports its module on first use. Standard output stays the inherited one,
-so a function that prints cannot corrupt the frames, and it is flushed
+`main` with the fds of two pipes of its own, which carry
+`multiprocessing.connection.Connection` messages. Each request is a pickled
+`(fn, args, kwargs)`, and the process answers it with one reply before it
+reads the next. The function pickles by reference, so this process imports
+its module on first use, inside the call: a function that cannot be loaded
+fails its task, not this process. Standard output stays the inherited one,
+so a function that prints cannot corrupt the messages, and it is flushed
 after every call.
 
 A reply is `(True, result)` or `(False, exception, "Type: message")`. The
 exception travels pickled, as None if it does not survive a pickle round
 trip; the parent then raises `RuntimeError("Type: message")` instead. A
 process that cannot import this module answers its first request, from
-the boot command, with `(None, "Type: message")` and exits. The
-process ends at the end of its request stream: the parent closes its end at
-exit, or the operating system does if the parent dies. SIGINT is ignored,
-so a Ctrl-C at the terminal stops the parent only, and the parent then ends
-this process.
+the boot command, with `(None, "Type: message")` and exits. The process
+ends at the end of its request stream (`EOFError` or `OSError`): the parent
+closes its end at exit, or the operating system does if the parent dies.
+SIGINT is ignored, so a Ctrl-C at the terminal stops the parent only, and
+the parent then ends this process.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import signal
 import sys
-
-from pilotq.backends import read_frame, write_frame
+from contextlib import suppress
+from multiprocessing.connection import Connection
 
 
 def _portable(exc: Exception) -> bytes | None:
@@ -56,9 +57,9 @@ def _answer(request: bytes) -> bytes:
 def main() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     requests_fd, replies_fd = (int(arg) for arg in sys.argv[1:3])
-    try:
-        with os.fdopen(requests_fd, "rb") as requests, os.fdopen(replies_fd, "wb") as replies:
-            while (request := read_frame(requests)) is not None:
-                write_frame(replies, _answer(request))
-    except BrokenPipeError:  # the parent is gone, and with it the reader of the reply
-        pass
+    requests = Connection(requests_fd, writable=False)
+    replies = Connection(replies_fd, readable=False)
+    # a reply stream ends too once the parent, its reader, is gone
+    with suppress(EOFError, OSError), requests, replies:
+        while True:
+            replies.send_bytes(_answer(requests.recv_bytes()))

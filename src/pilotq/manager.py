@@ -13,15 +13,8 @@ for deterministic batch placement in tests. Completions run no pass: a task
 stays pending only while no live pilot fits it, and only `create_pilot`
 adds a live pilot.
 
-Placement reads each pilot's agent: its granted `PilotAllocation`, the one
-record of its shape, and its worker slots. Feasibility is decided against
-total capacity: requires_cores against the worker slots (fewer than the
-allocation's cores when the pilot was created with fewer workers),
-requires_gpus against the allocation's GPUs, affinity against the pilot
-name, and requires_qubits against the pilot's qubit capacity. A qpu_sim
-pilot's capacity is its qpu_qubits; classical pilots simulate circuits
-in-agent under the simulator's default memory cap, so their capacity is
-the widest state that cap admits.
+Placement asks each pilot's agent whether it `fits` a task, the one
+feasibility rule (see `pilotq.agent`), and reads the agent's load.
 
 "Configured" pilots are every pilot ever created, including removed ones:
 a task that fits a temporarily removed pilot waits instead of failing,
@@ -44,25 +37,8 @@ from pilotq.backends import ResourceBackend
 from pilotq.clock import Clock, WallClock
 from pilotq.errors import DuplicatePilotName, IllegalTransition, UnknownPilot
 from pilotq.events import EventLog
-from pilotq.model import (
-    BackendKind,
-    PilotDescription,
-    TaskDescription,
-    TaskKind,
-    TaskRecord,
-    TaskState,
-    new_record,
-)
-from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES, memory_bytes
+from pilotq.model import PilotDescription, TaskDescription, TaskRecord, TaskState, new_record
 from pilotq.store import TaskStore
-
-
-def sim_qubit_capacity(memory_cap_bytes: int) -> int:
-    """Widest state vector that fits strictly under the cap."""
-    n = max((memory_cap_bytes // 16).bit_length() - 1, 0)
-    while n > 0 and memory_bytes(n) >= memory_cap_bytes:
-        n -= 1
-    return n
 
 
 @dataclass(frozen=True)
@@ -88,7 +64,6 @@ class PilotManager:
     ):
         self._clock = clock or WallClock()
         self._log = log or EventLog(clock=self._clock)
-        self._sim_qubits = sim_qubit_capacity(DEFAULT_MEMORY_CAP_BYTES)
         self._backend = ResourceBackend(clock=self._clock)
         self._functions = dict(functions or {})
         self._auto = auto_schedule
@@ -230,27 +205,10 @@ class PilotManager:
 
     # --- scheduling core --------------------------------------------------------------
 
-    def _fits(self, task: TaskDescription, agent: PilotAgent) -> bool:
-        alloc = agent.allocation
-        if task.target is not None and task.target != alloc.pilot_name:
-            return False
-        if task.requires_cores > agent.workers:
-            return False
-        if task.requires_gpus > alloc.total_gpus:
-            return False
-        qpu = alloc.backend_kind is BackendKind.QPU_SIM
-        if task.requires_qubits > (alloc.qpu_qubits if qpu else self._sim_qubits):
-            return False
-        if qpu and task.kind is TaskKind.QUANTUM_CIRCUIT and task.payload.shots == 0:
-            # QPUs sample; exact expectations and probability vectors need a
-            # classical pilot.
-            return False
-        return True
-
     def feasible_pilots(self, task: TaskDescription) -> list[str]:
         """Live pilots that could run this task, sorted by name."""
         with self._lock:
-            return sorted(name for name, agent in self._pilots.items() if self._fits(task, agent))
+            return sorted(name for name, agent in self._pilots.items() if agent.fits(task))
 
     def _schedule_pass(self) -> list[tuple[str, str]]:
         assignments: list[tuple[str, str]] = []
@@ -262,7 +220,7 @@ class PilotManager:
             if rec.state is not TaskState.NEW:
                 continue
             task = rec.description
-            candidates = [name for name in loads if self._fits(task, self._pilots[name])]
+            candidates = [name for name in loads if self._pilots[name].fits(task)]
             if candidates:
                 name = min(candidates, key=lambda nm: (loads[nm], nm))
                 loads[name] += 1
@@ -276,9 +234,7 @@ class PilotManager:
                 )
                 self._pilots[name].assign(rec)
                 assignments.append((tid, name))
-            elif self._configured and not any(
-                self._fits(task, agent) for agent in self._configured.values()
-            ):
+            elif self._configured and not any(a.fits(task) for a in self._configured.values()):
                 self._store.advance(
                     tid, "fail",
                     error="NoFeasiblePilot: no configured pilot satisfies "

@@ -18,6 +18,7 @@ from pilotq.qsim.simulate import (
     probabilities,
     run_circuit,
     sample,
+    sim_qubit_capacity,
 )
 
 __all__ = [
@@ -36,4 +37,5 @@ __all__ = [
     "run_circuit",
     "sample",
     "sel_circuit",
+    "sim_qubit_capacity",
 ]

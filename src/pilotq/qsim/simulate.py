@@ -137,6 +137,14 @@ def memory_bytes(num_qubits: int) -> int:
     return 16 * (2**num_qubits)
 
 
+def sim_qubit_capacity(memory_cap_bytes: int) -> int:
+    """Widest state vector that fits strictly under the cap."""
+    n = max((memory_cap_bytes // 16).bit_length() - 1, 0)
+    while n > 0 and memory_bytes(n) >= memory_cap_bytes:
+        n -= 1
+    return n
+
+
 def check_memory_cap(num_qubits: int, cap_bytes: int, states: int = 1) -> None:
     """Refuse `states` states of num_qubits qubits unless they fit strictly
     under cap_bytes.

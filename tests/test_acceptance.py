@@ -37,7 +37,7 @@ from pilotq.cutting import (
     run_cut_workflow,
 )
 from pilotq.events import EventLog, read_events
-from pilotq.manager import PilotManager, sim_qubit_capacity
+from pilotq.manager import PilotManager
 from pilotq.model import (
     ClassicalPayload,
     QuantumPayload,
@@ -54,6 +54,7 @@ from pilotq.qsim.simulate import (
     probabilities,
     run_circuit,
     sample,
+    sim_qubit_capacity,
 )
 
 SIM_QUBITS = sim_qubit_capacity(DEFAULT_MEMORY_CAP_BYTES)

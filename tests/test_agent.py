@@ -484,6 +484,31 @@ def test_drain_shutdown_ends_the_wait_for_a_distant_grant():
     assert time.monotonic() - t0 < 1.0
 
 
+def test_wait_ready_ends_when_the_agent_stops_before_its_grant():
+    be = ResourceBackend()
+    batch = PilotDescription(
+        name="b",
+        backend_kind=BackendKind.BATCH_SIM,
+        cores_per_node=2,
+        queue_model=QueueModel(base_delay_s=30.0),
+    )
+    agent = PilotAgent(be.provision(batch), backend=be).start()
+    outcomes = []
+    waiters = [
+        threading.Thread(target=lambda t=t: outcomes.append(agent.wait_ready(t)), daemon=True)
+        for t in (5.0, None)
+    ]
+    for w in waiters:
+        w.start()
+    time.sleep(0.05)  # both waiters now wait for the grant
+    t0 = time.monotonic()
+    agent.shutdown(drain=True)
+    for w in waiters:
+        w.join(5.0)
+    assert time.monotonic() - t0 < 1.0
+    assert outcomes == [False, False]
+
+
 class _CancelAfterSchedule(TaskStore):
     """Cancels one task right after a worker schedules it."""
 
@@ -519,13 +544,30 @@ def test_a_cancel_before_a_fail_fast_check_keeps_the_worker():
 
 def test_assign_rejects_a_task_that_can_never_fit():
     agent = make_agent(local_desc("p", cores=2, gpus_per_node=1), workers=1)
+    qpu = make_agent(qpu_desc("q", qubits=3))
     try:
-        for desc in (zero_task(0, requires_cores=2), zero_task(1, requires_gpus=2)):
+        for desc in (
+            zero_task(0, requires_cores=2),
+            zero_task(1, requires_gpus=2),
+            zero_task(2, target="other"),
+        ):
             with pytest.raises(ValidationError):
                 agent.assign(new_record(desc, at=0.0))
         assert agent.load() == 0
+        for desc in (
+            _quantum_desc("wide", random_circuit(4, 2, seed=0), shots=16),
+            _quantum_desc("exact", random_circuit(2, 2, seed=0)),
+            zero_task(3, target="p"),
+        ):
+            assert not qpu.fits(desc)
+            with pytest.raises(ValidationError):
+                qpu.assign(new_record(desc, at=0.0))
+        assert qpu.load() == 0
+        assert agent.fits(zero_task(4, target="p"))
+        assert qpu.fits(_quantum_desc("sampled", random_circuit(3, 2, seed=0), shots=16))
     finally:
         agent.shutdown()
+        qpu.shutdown()
 
 
 # --- registered functions: host worker processes or the worker thread ----------

@@ -166,6 +166,15 @@ def test_an_int_field_takes_only_an_integer():
     assert TaskDescription.from_json_dict({**task, "requires_cores": 2}).requires_cores == 2
 
 
+@pytest.mark.parametrize("bad", [True, "0.5", "abc", [1]], ids=repr)
+def test_a_float_field_takes_only_a_number(bad):
+    with pytest.raises(ValidationError, match="expected a number"):
+        QueueModel.from_json_dict({"base_delay_s": bad})
+    with pytest.raises(ValidationError, match="expected a number"):
+        PilotDescription.from_json_dict({"name": "p", "backend_kind": "local", "walltime_s": bad})
+    assert QueueModel.from_json_dict({"base_delay_s": 2, "jitter_s": 0.5}) == QueueModel(2.0, 0.5)
+
+
 def test_event_log_file_reads_back_as_the_emitted_records(tmp_path):
     path = tmp_path / "events.jsonl"
     with EventLog(path, clock=SimulatedClock(start=1.5)) as log:

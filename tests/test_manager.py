@@ -23,7 +23,7 @@ from pilotq.errors import (
     WorkerOversubscription,
 )
 from pilotq.events import EventLog, replay_task_states
-from pilotq.manager import PilotManager, sim_qubit_capacity
+from pilotq.manager import PilotManager
 from pilotq.model import (
     BackendKind,
     ClassicalPayload,
@@ -35,7 +35,7 @@ from pilotq.model import (
     TaskState,
 )
 from pilotq.qsim.circuit import Circuit, Gate, PauliObservable, random_circuit
-from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES, memory_bytes
+from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES, memory_bytes, sim_qubit_capacity
 
 SIM_QUBITS = sim_qubit_capacity(DEFAULT_MEMORY_CAP_BYTES)
 

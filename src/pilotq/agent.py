@@ -1,13 +1,16 @@
 """Pilot agent: the per-pilot executor, and the one judge of what it can run.
 
-`fits` is the feasibility rule; `assign` and the manager's placement and
-`feasible_pilots` all call it. A task fits if it targets no pilot or this
+`fits` is the feasibility rule; the manager's placement, its
+`feasible_pilots` and its NoFeasiblePilot rule all call it. A task fits
+while the pilot's walltime has not ended, if it targets no pilot or this
 one, and its requires_cores fit the worker slots, its requires_gpus the
 allocation's GPUs and its requires_qubits the pilot's qubit capacity: a
 qpu_sim pilot's qpu_qubits, and for a classical pilot, which simulates
 in-agent, the widest state the simulator's default memory cap admits. A
 qpu_sim pilot only samples, so a circuit with shots=0 needs a classical
-pilot. `assign` raises ValidationError for a task that does not fit.
+pilot. `assign` raises ValidationError for a task that does not fit, the
+walltime aside: a task queued on a pilot that expired after placement
+fails WalltimeExpired when a worker takes it.
 
 A fixed pool of worker threads pulls tasks off the agent's FIFO queue.
 Admission is core-slot based: the pool has `workers` slots (default: the
@@ -163,7 +166,11 @@ class PilotAgent:
             return self._granted
 
     def fits(self, task: TaskDescription) -> bool:
-        """Whether this pilot could ever run `task`: the one feasibility rule."""
+        """Whether this pilot can take `task`: the one feasibility rule."""
+        return self._clock.now() < self.allocation.expires_at_s and self._could_run(task)
+
+    def _could_run(self, task: TaskDescription) -> bool:
+        """`fits`, the walltime aside."""
         alloc = self.allocation
         qpu = alloc.backend_kind is BackendKind.QPU_SIM
         return (
@@ -176,9 +183,9 @@ class PilotAgent:
 
     def assign(self, record: TaskRecord) -> None:
         """Queue a NEW task for execution on this pilot; ValidationError if it
-        does not fit."""
+        does not fit, the walltime aside."""
         desc = record.description
-        if not self.fits(desc):
+        if not self._could_run(desc):
             raise ValidationError(
                 f"task {record.task_id} (cores={desc.requires_cores} gpus={desc.requires_gpus} "
                 f"qubits={desc.requires_qubits} target={desc.target}) does not fit pilot {self.name}"

@@ -34,25 +34,38 @@ task already waiting. Worker threads beyond the cores would otherwise run
 in lockstep, each one's numpy calls handing the GIL to the others', and
 every task would take about as long as the whole batch. The wait for a
 core is part of exec_s: it is the host contention named above, now spent
-queueing rather than interleaved. Each core owns at most one host process,
-touched only by the core's holder: exec'd as `python -c` with the parent's
-`sys.path` written into the command (a relative entry resolved against the
-cwd at import of this module), never forked from the threaded parent
-(multiprocessing's spawn and forkserver methods would also start a resource
-tracker process, which can outlive the interpreter), started at the core's
-first call and replaced once it has exited. Its requests and replies
-travel over two pipes as `multiprocessing.connection.Connection` messages,
-the one use of multiprocessing here. A function run there does not
-share the caller's memory: its arguments and result are pickled copies, and
-what it changes in its module stays in that process. Its exception comes
-back with the same type and message; a process that exits mid-call fails
-only that call, with HostProcessExited naming the exit status and, for a
-process that could not import its loop, the error that stopped it. At exit
-the parent closes each core's pipes and waits for its process; a parent
-that dies closes them too, and each process ends at the end of its request
-stream. Any other function (a lambda, a closure, a bound method, a
-`__main__` function) runs in the calling worker thread, and so does circuit
-simulation: a simulation task is too short to pay for the round trip.
+queueing rather than interleaved. Any other function (a lambda, a closure,
+a bound method, a `__main__` function) runs in the calling worker thread,
+and so does circuit simulation, although on a 2-vCPU host a 2-thread batch
+of depth-10 circuits ran faster through host processes at 12 qubits (190
+against 537 ms) and 8 qubits (297 against 597 ms), and slower only at 4
+(256 against 120 ms); ROADMAP item 16 decides where simulation runs.
+
+Each core owns at most one host process, touched only by the core's
+holder, started at its first call and replaced once it has exited. It is
+exec'd as `python -c`, never forked from the threaded parent
+(multiprocessing's spawn and forkserver methods would also start a
+resource tracker process, which can outlive the interpreter): the command
+writes the parent's `sys.path` in place (a relative entry resolved against
+the cwd at import of this module) and calls `serve_host_requests`, which
+ignores SIGINT, so a Ctrl-C stops the parent only. Both ends of the pipe
+live here: requests and replies travel over two pipes as
+`multiprocessing.connection.Connection` messages, imported only where a
+host process starts or serves. A request is a pickled `(fn, args, kwargs)`,
+answered before the next is read with `(True, result)` or
+`(False, exception, "Type: message")`; the exception is None if it does
+not survive a pickle round trip, and the parent raises
+`RuntimeError("Type: message")` instead. The function's module is imported
+inside the call, so a function that cannot be loaded fails its task, not
+the process; it sees pickled copies of its arguments, and what it changes
+in its module stays there. Its prints go to the inherited stdout, flushed
+after each call, never into the messages. A process that exits mid-call
+fails only that call, with HostProcessExited naming the exit status and,
+for one that could not import its loop (it sends `(None, "Type: message")`
+from the boot command), that error. A process ends at the end of its
+request stream (`EOFError` or `OSError`): at exit the parent closes each
+core's pipes and waits for its process, killing it after a grace period,
+and a parent that dies has its ends closed by the operating system.
 """
 
 from __future__ import annotations
@@ -61,6 +74,7 @@ import atexit
 import collections
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -68,7 +82,6 @@ import time
 import types
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from multiprocessing.connection import Connection
 
 import numpy as np
 
@@ -108,18 +121,54 @@ _EXIT_GRACE_S = 1.0
 # A relative sys.path entry names a directory under the cwd the entry was
 # added from; a host process starts after the caller may have changed it.
 _IMPORT_CWD = os.getcwd()
-# Run after the parent's sys.path is in place. A process that cannot import
-# the worker loop sends one `(None, "Type: message")` reply, so the caller
-# learns why it is gone; it then exits with the traceback on stderr.
+# Run after the parent's sys.path is in place; the traceback of a failed
+# import also goes to stderr.
 _BOOT = """
 try:
-    from pilotq.hostproc import main
+    from pilotq.backends import serve_host_requests
 except BaseException as exc:
     from multiprocessing.connection import Connection
     Connection(int(sys.argv[2]), readable=False).send((None, f"{type(exc).__name__}: {exc}"))
     raise
-main()
+serve_host_requests()
 """
+
+
+def _portable(exc: Exception) -> bytes | None:
+    """`exc` pickled, or None if it does not come back out of a pickle."""
+    try:
+        data = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+        pickle.loads(data)
+    except Exception:
+        return None
+    return data
+
+
+def _answer(request: bytes) -> bytes:
+    try:
+        fn, args, kwargs = pickle.loads(request)
+        return pickle.dumps((True, fn(*args, **kwargs)), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # the call's failure belongs to its task, not to this process
+        return pickle.dumps(
+            (False, _portable(exc), f"{type(exc).__name__}: {exc}"), pickle.HIGHEST_PROTOCOL
+        )
+    finally:
+        sys.stdout.flush()
+
+
+def serve_host_requests() -> None:
+    """A host process's loop: read requests from pipe fd argv[1] and write
+    each one's reply to pipe fd argv[2], until the request stream ends."""
+    from multiprocessing.connection import Connection
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    requests_fd, replies_fd = (int(arg) for arg in sys.argv[1:3])
+    requests = Connection(requests_fd, writable=False)
+    replies = Connection(replies_fd, readable=False)
+    # a reply stream ends too once the parent, its reader, is gone
+    with suppress(EOFError, OSError), requests, replies:
+        while True:
+            replies.send_bytes(_answer(requests.recv_bytes()))
 
 
 class _HostProcess:
@@ -127,6 +176,8 @@ class _HostProcess:
     and the two pipes its messages travel on, used by one caller at a time."""
 
     def __init__(self):
+        from multiprocessing.connection import Connection
+
         requests_r, requests_w = os.pipe()
         replies_r, replies_w = os.pipe()
         path = [os.path.join(_IMPORT_CWD, entry) for entry in sys.path]

@@ -3,15 +3,15 @@
 Scheduling model
 ----------------
 Submitted tasks enter a FIFO pending queue. A scheduling pass walks it in
-order and hands each task to the least-loaded feasible pilot (ties broken
-by lexicographically smallest pilot name); tasks with no feasible pilot
-right now stay pending, and tasks that no configured pilot could *ever*
-satisfy fail with NoFeasiblePilot. A pass reads each live agent's load once
-and counts its own assignments forward. Passes run on submit, on a retry,
-and on pilot add/remove, plus the explicit `schedule_pending` entry point
-for deterministic batch placement in tests. Completions run no pass: a task
-stays pending only while no live pilot fits it, and only `create_pilot`
-adds a live pilot.
+order and hands each task to the least-loaded feasible pilot (ties go to
+the pilot with fewer assignments so far, then to the smallest name);
+tasks with no feasible pilot right now stay pending, and tasks that no
+configured pilot could *ever* satisfy fail with NoFeasiblePilot. A pass
+reads each live agent's load once and counts its own assignments forward.
+Passes run on submit, on a retry, and on pilot add/remove, plus the
+explicit `schedule_pending` entry point for deterministic batch placement
+in tests. Completions run no pass: a task stays pending only while no live
+pilot fits it, and only `create_pilot` adds a live pilot.
 
 Placement asks each pilot's agent whether it `fits` a task, the one
 feasibility rule (see `pilotq.agent`), and reads the agent's load.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from pilotq.agent import AgentMetrics, PilotAgent
@@ -72,6 +72,7 @@ class PilotManager:
         self._pilots: dict[str, PilotAgent] = {}
         self._configured: dict[str, PilotAgent] = {}
         self._pending: deque[str] = deque()
+        self._assigned: Counter[str] = Counter()  # assignments per pilot, for ties
         self._started_at = self._clock.now()
 
     # --- registry ---------------------------------------------------------------
@@ -110,6 +111,7 @@ class PilotManager:
                 raise
             self._pilots[desc.name] = agent
             self._configured[desc.name] = agent
+            self._assigned[desc.name] = 0
             self._log.emit(
                 "pilot", desc.name, "pilot_created",
                 backend=desc.backend_kind.value,
@@ -222,8 +224,9 @@ class PilotManager:
             task = rec.description
             candidates = [name for name in loads if self._pilots[name].fits(task)]
             if candidates:
-                name = min(candidates, key=lambda nm: (loads[nm], nm))
+                name = min(candidates, key=lambda nm: (loads[nm], self._assigned[nm], nm))
                 loads[name] += 1
+                self._assigned[name] += 1
                 # log before handing over: the agent may start the task at once
                 self._log.emit(
                     "task", tid, "task_assigned",

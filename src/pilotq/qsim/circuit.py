@@ -8,10 +8,15 @@ Conventions used throughout the simulator:
 * Rotation gates (RX/RY/RZ) carry an angle in radians in ``param``. A gate is
   trainable iff ``param_index`` is set; param_index values must cover
   0..num_params-1 with no gaps.
+* `_GATES` is the one gate table: each gate's arity and its fixed 2x2 or,
+  for a rotation exp(-i param P / 2), its generator Pauli P. A `Gate` holds
+  its 2x2 as `matrix`, flat (m00, m01, m10, m11), computed once when built;
+  CNOT's and CZ's is the X or Z they apply to the target.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -20,25 +25,49 @@ import numpy as np
 from pilotq.codec import JsonRecord
 from pilotq.errors import ValidationError
 
-GATE_NAMES = frozenset({"H", "X", "Y", "Z", "S", "T", "RX", "RY", "RZ", "CNOT", "CZ"})
-ROTATION_GATES = frozenset({"RX", "RY", "RZ"})
-TWO_QUBIT_GATES = frozenset({"CNOT", "CZ"})
+_SQ2 = 1.0 / math.sqrt(2.0)
+_PAULI = {"X": (0, 1, 1, 0), "Y": (0, -1j, 1j, 0), "Z": (1, 0, 0, -1)}
+
+# name: (arity, fixed 2x2 as (m00, m01, m10, m11), or a rotation's generator Pauli)
+_GATES = {
+    "H": (1, (_SQ2, _SQ2, _SQ2, -_SQ2)),
+    "X": (1, _PAULI["X"]),
+    "Y": (1, _PAULI["Y"]),
+    "Z": (1, _PAULI["Z"]),
+    "S": (1, (1, 0, 0, 1j)),
+    "T": (1, (1, 0, 0, cmath.exp(1j * math.pi / 4))),
+    "RX": (1, "X"),
+    "RY": (1, "Y"),
+    "RZ": (1, "Z"),
+    "CNOT": (2, _PAULI["X"]),
+    "CZ": (2, _PAULI["Z"]),
+}
+GATE_NAMES = frozenset(_GATES)
+ROTATION_GATES = frozenset(name for name, (_, m) in _GATES.items() if type(m) is str)
+
+
+def _rotation_matrix(pauli: str, angle: float) -> tuple[complex, ...]:
+    """exp(-i angle P / 2) = cos(angle/2) I - i sin(angle/2) P, flat."""
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return tuple(c * i + -1j * s * p for i, p in zip((1, 0, 0, 1), _PAULI[pauli]))
 
 
 @dataclass(frozen=True)
 class Gate(JsonRecord):
-    """One gate application: name, target qubit(s), optional angle."""
+    """One gate application: name, target qubit(s), optional angle. matrix
+    is derived: the flat 2x2 the simulator applies to qubits[-1]."""
 
     name: str
     qubits: tuple[int, ...]
     param: float | None = None
     param_index: int | None = None
+    matrix: tuple[complex, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if self.name not in GATE_NAMES:
             raise ValidationError(f"unknown gate name: {self.name!r}")
-        want = 2 if self.name in TWO_QUBIT_GATES else 1
+        want, matrix = _GATES[self.name]
         if len(self.qubits) != want:
             raise ValidationError(f"{self.name} takes {want} qubit(s), got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
@@ -47,11 +76,18 @@ class Gate(JsonRecord):
             if self.param is None:
                 raise ValidationError(f"{self.name} requires an angle")
             object.__setattr__(self, "param", float(self.param))
+            matrix = _rotation_matrix(matrix, self.param)
         else:
             if self.param is not None:
                 raise ValidationError(f"{self.name} takes no angle")
             if self.param_index is not None:
                 raise ValidationError(f"{self.name} cannot be trainable")
+        object.__setattr__(self, "matrix", matrix)
+
+    @property
+    def generator(self) -> str | None:
+        """The Pauli letter P of a rotation exp(-i param P / 2), else None."""
+        return _GATES[self.name][1] if self.name in ROTATION_GATES else None
 
 
 @dataclass(frozen=True)

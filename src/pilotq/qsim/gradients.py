@@ -29,9 +29,6 @@ from pilotq.qsim.simulate import (
     run_circuit,
 )
 
-_GENERATOR = {"RX": "X", "RY": "Y", "RZ": "Z"}
-
-
 def adjoint_gradient(
     circuit: Circuit,
     observable: PauliObservable,
@@ -59,7 +56,7 @@ def adjoint_sweep(gates, ket: np.ndarray, bra: np.ndarray, num_params: int) -> n
     for gate in reversed(gates):
         if gate.param_index is not None:
             # ket currently includes this gate, so G @ ket is G U |prefix>.
-            generator = ((gate.qubits[0], _GENERATOR[gate.name]),)
+            generator = ((gate.qubits[0], gate.generator),)
             grads[gate.param_index] += 2.0 * (pauli_inner(bra, ket, generator) * (-0.5j)).real
         apply_gate(ket, gate, adjoint=True)
         apply_gate(bra, gate, adjoint=True)

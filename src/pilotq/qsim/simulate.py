@@ -19,6 +19,9 @@ starts its own thread pool inside every agent worker thread and
 oversubscribes the cores that the workers already share. Inner products
 and norms are elementwise sums for the same reason.
 
+No matrix is built here: kernels, fusion and adjoints take a gate's 2x2
+as `Gate.matrix`, the flat (m00, m01, m10, m11) computed once per gate.
+
 `_apply` is the one entry point, and one rule picks the layout: the
 state's type, its row width (its length, or a stack row's) and the gate's
 qubits, never the gate's kind.
@@ -92,7 +95,6 @@ of squares over the list.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from typing import Mapping
@@ -100,36 +102,11 @@ from typing import Mapping
 import numpy as np
 
 from pilotq.errors import MemoryCapExceeded, ValidationError
-from pilotq.qsim.circuit import Circuit, PauliObservable
+from pilotq.qsim.circuit import Circuit, Gate, PauliObservable
 
 StateVector = np.ndarray
 
 DEFAULT_MEMORY_CAP_BYTES = 2 * 1024**3  # 2 GiB: up to 26 qubits single-state
-
-_SQ2 = 1.0 / math.sqrt(2.0)
-
-# Matrix rows of each fixed gate. CNOT and CZ hold the rows of the X and Z
-# they apply to the target on the half of the state where the control is 1.
-_FIXED_ROWS = {
-    "H": [[_SQ2, _SQ2], [_SQ2, -_SQ2]],
-    "X": [[0, 1], [1, 0]],
-    "Y": [[0, -1j], [1j, 0]],
-    "Z": [[1, 0], [0, -1]],
-    "S": [[1, 0], [0, 1j]],
-    "T": [[1, 0], [0, cmath.exp(1j * math.pi / 4)]],
-}
-_FIXED_ROWS["CNOT"], _FIXED_ROWS["CZ"] = _FIXED_ROWS["X"], _FIXED_ROWS["Z"]
-
-
-def _rotation_rows(name: str, angle: float) -> list[list[complex]]:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    if name == "RX":
-        return [[c, -1j * s], [-1j * s, c]]
-    if name == "RY":
-        return [[c, -s], [s, c]]
-    if name == "RZ":
-        return [[cmath.exp(-0.5j * angle), 0], [0, cmath.exp(0.5j * angle)]]
-    raise ValidationError(f"not a rotation gate: {name}")
 
 
 def memory_bytes(num_qubits: int) -> int:
@@ -160,9 +137,9 @@ def check_memory_cap(num_qubits: int, cap_bytes: int, states: int = 1) -> None:
         )
 
 
-def _apply_1q_view(v: np.ndarray, m: list[list[complex]], axis: int) -> None:
-    """In place: v[i] <- sum_j m[i][j] * v[j] along `axis`, the qubit's axis."""
-    (a, b), (c, d) = m
+def _apply_1q_view(v: np.ndarray, m: tuple, axis: int) -> None:
+    """In place: the flat 2x2 `m` along `axis`, the qubit's axis."""
+    a, b, c, d = m
     at = (slice(None),) * axis
     shape = (2,) + (1,) * (v.ndim - 1 - axis)
     if b == 0 and c == 0:  # diagonal: scale one half, or both in one pass
@@ -205,7 +182,7 @@ def _row_plan(qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(key), np.array(perm)
 
 
-def _apply_rows(rows: np.ndarray, m: list[list[complex]], qubits: tuple[int, ...]) -> None:
+def _apply_rows(rows: np.ndarray, m: tuple, qubits: tuple[int, ...]) -> None:
     """In place on (R, 64) rows: row[i] <- diag[i] * row[i] + off[i] * row[perm[i]].
 
     diag and off are looked up by key: the gate's coefficients fill entries
@@ -213,7 +190,7 @@ def _apply_rows(rows: np.ndarray, m: list[list[complex]], qubits: tuple[int, ...
     each amplitude as it is, through diag, or through off and perm[i] = i
     for X-like gates, whose diag is all zero.
     """
-    (a, b), (c, d) = m
+    a, b, c, d = m
     key, perm = _row_plan(qubits)
     if b == 0 and c == 0:  # diagonal: one product
         if a != 1 or d != 1:
@@ -245,9 +222,9 @@ def _small_pairs(size: int, qubits: tuple[int, ...]) -> tuple[tuple[int, int], .
     )
 
 
-def _apply_small(state: list[complex], m: list[list[complex]], qubits: tuple[int, ...]) -> None:
+def _apply_small(state: list[complex], m: tuple, qubits: tuple[int, ...]) -> None:
     """`_apply` on a list state, pair by pair, with the half view's cases."""
-    (a, b), (c, d) = m
+    a, b, c, d = m
     pairs = _small_pairs(len(state), qubits)
     if b == 0 and c == 0:  # diagonal: scale each side whose factor is not 1
         if a != 1:
@@ -269,9 +246,7 @@ def _apply_small(state: list[complex], m: list[list[complex]], qubits: tuple[int
             state[i], state[j] = a * x + b * y, d * y + c * x
 
 
-def _apply(
-    state: StateVector | list[complex], m: list[list[complex]], qubits: tuple[int, ...]
-) -> None:
+def _apply(state: StateVector | list[complex], m: tuple, qubits: tuple[int, ...]) -> None:
     """In place: the 2x2 `m` on qubits[-1], where qubits[0] is 1 if two are
     given. Every gate application goes through here, and the layout follows
     from the state's type, its row width and the gate's qubits alone: a list
@@ -298,7 +273,7 @@ def _apply(
             _apply_1q_view(v[:, :, :, 1], m, 1)
 
 
-def _apply_chunked(state: StateVector, m: list[list[complex]], qubits: tuple[int, ...]) -> None:
+def _apply_chunked(state: StateVector, m: tuple, qubits: tuple[int, ...]) -> None:
     """`_apply` on rows of more than one chunk: chunk by chunk when the
     gate's qubits all lie inside a chunk; else a gate on a high qubit runs
     on blocks of one chunk (`_apply_high`), and a gate controlled by a high
@@ -317,9 +292,7 @@ def _apply_chunked(state: StateVector, m: list[list[complex]], qubits: tuple[int
         _apply_high(state, m, qubits[1], qubits[0])
 
 
-def _apply_high(
-    state: StateVector, m: list[list[complex]], target: int, control: int | None
-) -> None:
+def _apply_high(state: StateVector, m: tuple, target: int, control: int | None) -> None:
     """In place: the 2x2 `m` on a qubit whose halves lie a chunk or more
     apart, where the lower `control` is 1 if one is given. Runs on blocks of
     the (..., 2, 2**target) view holding at most one chunk."""
@@ -334,29 +307,25 @@ def _apply_high(
             _apply_1q_view(block, m, 0)
 
 
-def _rows_of(gate) -> list[list[complex]]:
-    """The matrix rows of a gate (of CNOT and CZ: on the target)."""
-    return _FIXED_ROWS.get(gate.name) or _rotation_rows(gate.name, gate.param)
-
-
-def _product(m: list[list[complex]], n: list[list[complex]]) -> list[list[complex]]:
+def _product(m: tuple, n: tuple) -> tuple:
     """The 2x2 product m @ n: n applied first, then m."""
-    (a, b), (c, d) = m
-    (e, f), (g, h) = n
-    return [[a * e + b * g, a * f + b * h], [c * e + d * g, c * f + d * h]]
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def apply_gate(state: StateVector, gate, *, adjoint: bool = False) -> None:
+def apply_gate(state: StateVector, gate: Gate, *, adjoint: bool = False) -> None:
     """Apply `gate` (or its adjoint) in place to a state or a row stack."""
-    m = _rows_of(gate)
+    m = gate.matrix
     if adjoint:
-        m = [[x.conjugate() for x in col] for col in zip(*m)]
+        a, b, c, d = m
+        m = (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate())
     _apply(state, m, gate.qubits)
 
 
 def apply_pauli(state: StateVector, letter: str, qubit: int) -> None:
     """Apply the Pauli X, Y or Z to `qubit` in place, on a state or a row stack."""
-    _apply(state, _FIXED_ROWS[letter], (qubit,))
+    apply_gate(state, Gate(letter, (qubit,)))
 
 
 def zero_state(num_qubits: int) -> StateVector:
@@ -376,9 +345,9 @@ def run_circuit(circuit: Circuit, *, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_
     check_memory_cap(n, memory_cap_bytes)
     small = n <= _SMALL_QUBITS
     state = [1 + 0j] + [0j] * ((1 << n) - 1) if small else zero_state(n)
-    pending: dict[int, list[list[complex]]] = {}
+    pending: dict[int, tuple] = {}
     for gate in circuit.gates:
-        m = _rows_of(gate)
+        m = gate.matrix
         if len(gate.qubits) == 1:
             q = gate.qubits[0]
             pending[q] = _product(m, pending[q]) if q in pending else m

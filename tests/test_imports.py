@@ -11,6 +11,8 @@ skips package `__init__` modules: their imports are re-exports.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pilotq
@@ -230,3 +232,16 @@ def test_the_emit_scan_flags_lifecycle_and_computed_events():
         'log.emit_later("task", tid, "task_failed")\n'
     )
     assert lifecycle_emits(source) == [3, 4, 5]
+
+
+def test_importing_pilotq_leaves_multiprocessing_connection_unloaded():
+    # only a host worker process and its parent's pipe ends need it
+    script = "import sys, pilotq; print('multiprocessing.connection' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); {script}"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.split() == ["False"]

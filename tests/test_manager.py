@@ -12,7 +12,7 @@ from helpers import (
     qpu_desc,
     zero_task,
 )
-from pilotq.agent import task_seed
+from pilotq.agent import PilotAgent, task_seed
 from pilotq.backends import ResourceBackend
 from pilotq.clock import SimulatedClock
 from pilotq.errors import (
@@ -207,6 +207,15 @@ def test_homogeneous_batch_spreads_evenly(manager):
     counts = assignments_by_pilot(manager.log.records)
     assert set(counts) == {"a", "b"}
     assert abs(counts["a"] - counts["b"]) <= 1
+
+
+def test_placement_ties_go_to_the_pilot_with_fewer_assignments(manager):
+    manager.create_pilot(local_desc("a", cores=2))
+    manager.create_pilot(local_desc("b", cores=2))
+    manager.wait_pilots_ready()
+    for i in range(10):  # both pilots are idle at every submit
+        assert manager.wait([manager.submit_task(zero_task(i))], timeout=10.0).complete
+    assert assignments_by_pilot(manager.log.records) == {"a": 5, "b": 5}
 
 
 def test_explicit_scheduling_mode(manager=None):
@@ -653,6 +662,66 @@ def test_walltime_expiry_fails_work_dispatched_after_it():
         assert [r.state for r in records] == [TaskState.DONE, TaskState.DONE, TaskState.FAILED]
         assert records[2].error.startswith("WalltimeExpired")
         assert clock.now() == 12.0
+    finally:
+        manager.shutdown()
+
+
+def fn_task(tid, function="one", **kw):
+    return TaskDescription(
+        task_id=tid, kind=TaskKind.CLASSICAL_FN, payload=ClassicalPayload(function=function), **kw
+    )
+
+
+@pytest.mark.parametrize("simulated", [False, True], ids=["wall", "simulated"])
+def test_a_pilot_past_its_walltime_leaves_placement(simulated):
+    clock = SimulatedClock() if simulated else None
+    manager = PilotManager(clock=clock, functions={"one": lambda: 1})
+    try:
+        manager.create_pilot(local_desc("a", cores=2, walltime_s=0.3))
+        manager.create_pilot(local_desc("b", cores=2, walltime_s=3600.0))
+        (clock or time).sleep(0.5)
+        assert manager.feasible_pilots(fn_task("t")) == ["b"]
+        ids = [manager.submit_task(fn_task(f"t{i}", max_retries=3)) for i in range(20)]
+        assert manager.wait(ids, timeout=10.0).complete
+        records = [manager.task(t) for t in ids]
+        assert all(r.state is TaskState.DONE for r in records)
+        assert {r.assigned_pilot for r in records} == {"b"}
+    finally:
+        manager.shutdown()
+
+
+def test_a_pilot_that_expires_between_fits_and_assign_raises_nowhere(monkeypatch):
+    # The walltime ends right after placement's fits says yes: on the first
+    # placement (in submit_task) and on the retry's (in the worker's callback).
+    clock = SimulatedClock()
+    fits, expire_next = PilotAgent.fits, []
+
+    def fits_then_expire(agent, task):
+        ok = fits(agent, task)
+        if ok and expire_next:
+            expire_next.pop()
+            clock.sleep(agent.allocation.expires_at_s - clock.now() + 1.0)
+        return ok
+
+    def fail_then_expire():
+        expire_next.append(True)
+        raise RuntimeError("first attempt")
+
+    monkeypatch.setattr(PilotAgent, "fits", fits_then_expire)
+    manager = PilotManager(clock=clock, functions={"one": lambda: 1, "fail": fail_then_expire})
+    try:
+        manager.create_pilot(local_desc("a", cores=1, walltime_s=10.0))
+        expire_next.append(True)
+        first = manager.submit_task(fn_task("s"))
+        assert manager.wait([first], timeout=5.0).complete
+        manager.create_pilot(local_desc("b", cores=1, walltime_s=10.0))
+        second = manager.submit_task(fn_task("r", "fail", target="b", max_retries=1))
+        assert manager.wait([second], timeout=5.0).complete
+        for tid, pilot in ((first, "a"), (second, "b")):
+            record = manager.task(tid)
+            assert record.state is TaskState.FAILED
+            assert record.assigned_pilot == pilot
+            assert record.error.startswith("WalltimeExpired")
     finally:
         manager.shutdown()
 

@@ -23,6 +23,8 @@ from pilotq.backends import simulate_readout
 from pilotq.errors import MemoryCapExceeded, ValidationError
 from pilotq.qsim import simulate
 from pilotq.qsim.circuit import (
+    GATE_NAMES,
+    ROTATION_GATES,
     Circuit,
     Gate,
     PauliObservable,
@@ -256,6 +258,31 @@ def test_adjoint_application_inverts_the_gate():
     assert not np.allclose(out, state)
     apply_gate(out, gate, adjoint=True)
     assert np.allclose(out, state, atol=1e-12)
+    # every gate name, on a 3-qubit state and on a row stack
+    rng = np.random.default_rng(3)
+    for state in (rng.normal(size=8) + 1j * rng.normal(size=8), rng.normal(size=(4, 8)) + 0j):
+        for name in sorted(GATE_NAMES):
+            qubits = (2, 0) if name in ("CNOT", "CZ") else (1,)
+            gate = Gate(name, qubits, 0.7 if name in ROTATION_GATES else None)
+            out = state.copy()
+            apply_gate(out, gate)
+            apply_gate(out, gate, adjoint=True)
+            assert np.allclose(out, state, atol=1e-12), name
+
+
+def test_rotation_matrices_match_the_oracle():
+    for name in sorted(ROTATION_GATES):
+        for theta in (0.0, math.pi / 3, math.pi, 2 * math.pi, -1.2):
+            matrix = np.array(Gate(name, (0,), theta).matrix).reshape(2, 2)
+            assert np.allclose(matrix, oracle_rotation(name, theta), atol=1e-15), (name, theta)
+
+
+def test_a_gate_matrix_is_left_out_of_equality_hash_and_repr():
+    gate, other = Gate("RY", (1,), 0.3, 0), Gate("RY", (1,), 0.3, 0)
+    object.__setattr__(other, "matrix", (1, 0, 0, 1))
+    assert gate == other
+    assert hash(gate) == hash(other)
+    assert repr(gate) == repr(other) == "Gate(name='RY', qubits=(1,), param=0.3, param_index=0)"
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -530,7 +557,11 @@ def test_sel_circuit_entangles_beyond_nearest_neighbours():
 )
 def test_circuit_round_trips_through_json(n, depth, seed):
     circ = random_circuit(n, depth, seed)
-    assert Circuit.from_json_dict(circ.to_json_dict()) == circ
+    data = circ.to_json_dict()
+    assert not any("matrix" in gate for gate in data["gates"])
+    back = Circuit.from_json_dict(data)
+    assert back == circ
+    assert [g.matrix for g in back.gates] == [g.matrix for g in circ.gates]
 
 
 def test_observable_validation_and_width():

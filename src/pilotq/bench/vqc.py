@@ -7,11 +7,27 @@ into a single adjoint pass with the weighted observable
 sum_i scale * (p_i - [i == y]) * Z_i.
 
 A mini-batch runs as one (B, 2**n) row stack, row b for sample b. The
-encoding is a product state, so each row is built directly; the shared
-ansatz gates are applied once to the whole stack; both Z readouts are
-diagonal, so each row's bra is its ket times that row's weighted sign
-vector; and one adjoint sweep over the stack sums the per-sample
-gradients. A batch costs one forward pass and one sweep whatever its size.
+encoding is a product state, so each row is built directly; both Z
+readouts are diagonal, so each row's bra is its ket times that row's
+weighted sign vector. Every batch of a training step shares the step's
+parameters, and so its ansatz:
+
+- An ansatz of at most _TABLE_QUBITS = 4 qubits is taken as tables
+  (`qsim.gradients.ansatz_tables`): its unitary U and one generator table
+  per parameter, built once per parameter vector in each process and
+  cached read-only. A batch applies no gate: its kets are U times the
+  encoded rows, and its gradient contracts the sum over rows of
+  conj(bra) (x) ket against the tables (`table_gradient`). At 4 qubits
+  and 2 layers a 25-row batch takes about 0.3 ms from the tables against
+  1.7 ms on the stack, and a build about 1.5 ms (2-vCPU host).
+- A wider ansatz is applied gate by gate to the whole stack, and one
+  adjoint sweep over the stack sums the per-sample gradients: one forward
+  pass and one sweep whatever the batch size. There a build costs more
+  than two stack gradients; `qsim.gradients` gives the measurements.
+
+With 2 host worker processes, an epoch's 8 batches build the tables once
+in each of the two: 6 of 8 batches reuse them. Inline training builds
+them once per epoch, for 7 of 8.
 
 Training distributes mini-batch gradient tasks through a pilot manager
 (or runs them in-process when no manager is given) and applies full-batch
@@ -21,6 +37,7 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -31,10 +48,17 @@ from pilotq.codec import JsonRecord
 from pilotq.errors import PilotQError, ValidationError
 from pilotq.model import ClassicalPayload, TaskDescription, TaskKind, TaskState, validate_seed
 from pilotq.qsim.circuit import sel_circuit
-from pilotq.qsim.gradients import adjoint_sweep
-from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES, apply_gate, check_memory_cap
+from pilotq.qsim.gradients import adjoint_sweep, ansatz_tables, table_gradient
+from pilotq.qsim.simulate import (
+    DEFAULT_MEMORY_CAP_BYTES,
+    apply_gate,
+    apply_unitary,
+    check_memory_cap,
+)
 
 BATCH_GRADIENT_FN = "vqc_batch_gradient"
+# Ansatz of at most this many qubits take the tables; see qsim.gradients.
+_TABLE_QUBITS = 4
 
 
 @dataclass(frozen=True)
@@ -82,6 +106,19 @@ def make_blobs(samples: int, n_features: int, seed: int) -> tuple[np.ndarray, np
     return features[order], labels[order]
 
 
+@functools.lru_cache(maxsize=1)
+def _ansatz_tables(n_qubits: int, layers: int, params: tuple[float, ...]):
+    """The read-only (unitary, tables) of one parameter vector's ansatz.
+
+    One entry: the batches of a training step share its parameter vector,
+    and a later step never returns to an earlier one.
+    """
+    unitary, tables = ansatz_tables(sel_circuit(n_qubits, layers, params))
+    unitary.flags.writeable = False
+    tables.flags.writeable = False
+    return unitary, tables
+
+
 def batch_gradient(
     params, features, labels, n_qubits: int, layers: int, scale: float
 ) -> dict:
@@ -91,15 +128,24 @@ def batch_gradient(
     result are plain lists/floats so the payload stays serialisable. Being
     module-level, it runs in a host worker process (`backends.run_registered`),
     so the gradient tasks of one epoch do not share one interpreter lock.
+    An ansatz of at most _TABLE_QUBITS qubits is taken from its tables,
+    cached per process by parameter vector, so the batches of one epoch
+    that land in the same process build them once between them.
     """
     if any(len(x) != n_qubits for x in features):
         raise ValidationError("one feature per qubit required")
     if len(labels) != len(features):
         raise ValidationError(f"{len(features)} feature rows but {len(labels)} labels")
-    ansatz = sel_circuit(n_qubits, layers, params)
+    bad = [y for y in labels if y not in (0, 1)]
+    if bad:
+        raise ValidationError(f"labels must be 0 or 1, got {bad[0]!r}")
+    params = np.asarray(params, dtype=float)
+    if params.shape != (3 * n_qubits * layers,):
+        raise ValidationError(f"{3 * n_qubits * layers} parameters required, got {params.shape}")
     rows = len(features)
-    # ket, bra and one inner product's scratch, each a stack of rows, are live
-    # during the sweep.
+    # At most three stacks of rows are live at once: ket, bra and an inner
+    # product's scratch on the sweep; on the tables path the encoding and
+    # U|ket>, then ket and bra, each pair with a block of at most one chunk.
     check_memory_cap(n_qubits, DEFAULT_MEMORY_CAP_BYTES, states=3 * rows)
 
     # RY(x)|0> = [cos(x/2), sin(x/2)]; qubit q is bit q of the flat index.
@@ -108,8 +154,14 @@ def batch_gradient(
     for q in range(n_qubits):
         factor = np.stack([np.cos(half[:, q]), np.sin(half[:, q])], axis=1)
         ket = (factor[:, :, None] * ket[:, None, :]).reshape(rows, 2 << q)
-    for gate in ansatz.gates:
-        apply_gate(ket, gate)
+    use_tables = n_qubits <= _TABLE_QUBITS
+    if use_tables:
+        unitary, tables = _ansatz_tables(n_qubits, layers, tuple(params.tolist()))
+        ket = apply_unitary(unitary, ket)
+    else:
+        ansatz = sel_circuit(n_qubits, layers, params)
+        for gate in ansatz.gates:
+            apply_gate(ket, gate)
 
     amps2 = ket.real**2 + ket.imag**2
     norms = np.sqrt(amps2.sum(axis=1))
@@ -118,6 +170,7 @@ def batch_gradient(
     # signs[i, k] is the eigenvalue of Z_i on basis state k, for i in {0, 1}.
     signs = 1.0 - 2.0 * ((np.arange(2**n_qubits) >> np.arange(2)[:, None]) & 1)
     logits = scale * (amps2[:, None, :] * signs).sum(axis=2)
+    del amps2  # keeps the gradient within the three stacks the cap counts
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)
@@ -127,7 +180,10 @@ def batch_gradient(
 
     weights = scale * (probs - np.eye(2)[y])
     bra = ket * (weights[:, :, None] * signs).sum(axis=1)
-    grad = adjoint_sweep(ansatz.gates, ket, bra, ansatz.num_params)
+    if use_tables:
+        grad = table_gradient(tables, ket, bra)
+    else:
+        grad = adjoint_sweep(ansatz.gates, ket, bra, ansatz.num_params)
     return {"grad": grad.tolist(), "loss_sum": float(loss_sum), "correct": int(correct)}
 
 
@@ -208,7 +264,7 @@ def train_vqc(config: VqcConfig, manager=None, on_epoch=None) -> VqcRun:
             epoch=epoch,
             loss=loss,
             accuracy=correct / config.samples,
-            grad_norm=float(np.linalg.norm(grad)),
+            grad_norm=math.sqrt(float((grad * grad).sum())),
             epoch_s=time.perf_counter() - t0,
         )
         run.history.append(stats)

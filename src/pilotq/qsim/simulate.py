@@ -57,7 +57,7 @@ Calls per layout in one measured round of each perfbench workload (seed 0):
     layout               circuits   cut   vqc
     list                        0  1196     0
     row view                 1515     0     0
-    half view                2214     0  1536   (vqc: (25, 16) stacks)
+    half view                2214     0   224   (vqc: (16, 16) table builds)
     chunk by chunk, 18q       409     0     0
     high-qubit blocks, 18q     50     0     0
 
@@ -90,7 +90,10 @@ fold into their outer axis. Callers that need the input afterwards copy it.
 pauli_inner is the one readout sum, <bra|P|ket> for a Pauli string P,
 streamed block by block: run_circuit's norm check, expectation and the
 adjoint sweep take it, except the norm check of a list state, a plain sum
-of squares over the list.
+of squares over the list. apply_unitary and outer_sum serve the narrow
+stacks that meet gradients' ansatz tables: U times each row, and the sum
+over rows of conj(bra) (x) ket. Each takes a block of rows at a time, so
+that its (rows, 2**n, 2**n) product holds at most one chunk.
 """
 
 from __future__ import annotations
@@ -468,6 +471,32 @@ def pauli_inner(
         part = _block_sum(block, kets[i ^ xhigh], shape, flip, signs)
         total += -part if (i & zhigh).bit_count() % 2 else part
     return total * phase
+
+
+def _row_block(width: int) -> int:
+    """Rows per block whose (rows, width, width) product is at most one chunk."""
+    return max(1, _CHUNK // (width * width))
+
+
+def apply_unitary(unitary: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """U |ket_b> for each row of a (B, 2**n) stack, as a new stack; the
+    products are taken elementwise, a block of rows at a time."""
+    out = np.empty_like(kets)
+    block = _row_block(kets.shape[1])
+    for lo in range(0, len(kets), block):
+        out[lo : lo + block] = (unitary * kets[lo : lo + block, None, :]).sum(axis=2)
+    return out
+
+
+def outer_sum(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """M[i, j] = sum over the rows b of conj(bra[b, i]) * ket[b, j], for two
+    (B, 2**n) stacks, summed elementwise a block of rows at a time."""
+    width = ket.shape[1]
+    block = _row_block(width)
+    total = np.zeros((width, width), dtype=complex)
+    for lo in range(0, len(ket), block):
+        total += (bra[lo : lo + block, :, None].conj() * ket[lo : lo + block, None, :]).sum(axis=0)
+    return total
 
 
 def probabilities(state: StateVector) -> np.ndarray:

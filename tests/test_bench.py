@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from pilotq.bench.runners import (
     write_csv,
     write_session,
 )
+from pilotq.bench import vqc
 from pilotq.bench.vqc import (
     BATCH_GRADIENT_FN,
     VqcConfig,
+    _ansatz_tables,
     _batch_slices,
     batch_gradient,
     evaluate,
@@ -34,6 +37,7 @@ from pilotq.events import read_events, replay_tallies
 from pilotq.manager import PilotManager
 from pilotq.qsim import PauliObservable, adjoint_gradient, expectation, run_circuit
 from pilotq.qsim import simulate
+from pilotq.qsim.simulate import memory_bytes
 
 
 # --- RunMetrics -----------------------------------------------------------------------
@@ -460,18 +464,36 @@ def test_batched_gradient_matches_per_sample_circuits(rows):
     assert out["correct"] == correct
     assert isinstance(out["loss_sum"], float) and isinstance(out["correct"], int)
     assert all(isinstance(g, float) for g in out["grad"])
+    # Ansatz of at most four qubits take the tables, wider ones the sweep over
+    # the stack; forced onto the sweep, each narrow one must give the same.
+    for n_qubits in (2, 3, 4):
+        for layers in (1, 2, 6):
+            shape = VqcConfig(n_qubits=n_qubits, layers=layers)
+            features, labels = make_blobs(shape.samples, n_qubits, shape.seed)
+            params = np.random.default_rng(rows).uniform(-1.0, 1.0, shape.num_params)
+            args = (params, features[:rows], labels[:rows], n_qubits, layers, shape.softmax_scale)
+            tables = batch_gradient(*args)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(vqc, "_TABLE_QUBITS", 0)
+                stack = batch_gradient(*args)
+            assert np.max(np.abs(np.subtract(tables["grad"], stack["grad"]))) <= 1e-12
+            assert abs(tables["loss_sum"] - stack["loss_sum"]) <= 1e-12
+            assert tables["correct"] == stack["correct"]
 
 
 def test_batched_gradient_rejects_a_short_feature_row():
     features = [[0.1, 0.2], [0.3]]
     with pytest.raises(ValidationError):
         batch_gradient(np.zeros(6), features, [0, 1], 2, 1, 4.0)
+    # a label other than 0 or 1 would train as one class and never count as
+    # correct (-1), be truncated (0.5) or index past the two classes (2)
+    features = [[0.1, 0.2], [0.3, 0.4]]
+    for bad in (-1, 0.5, 2):
+        with pytest.raises(ValidationError):
+            batch_gradient(np.zeros(6), features, [0, bad], 2, 1, 4.0)
 
 
 def test_batched_gradient_applies_each_gate_once_per_batch(monkeypatch):
-    cfg = VqcConfig()
-    features, labels = make_blobs(cfg.samples, cfg.n_qubits, cfg.seed)
-    params = np.zeros(cfg.num_params)
     calls = []
     apply = simulate._apply
 
@@ -482,29 +504,90 @@ def test_batched_gradient_applies_each_gate_once_per_batch(monkeypatch):
     # Every 1q, CNOT and CZ application, forward or adjoint, goes through
     # this entry point, whichever layout serves it.
     monkeypatch.setattr(simulate, "_apply", counted)
-    per_batch = []
-    for rows in (1, 25):
+
+    def applies(cfg, params, rows, offset=0):
+        features, labels = make_blobs(cfg.samples, cfg.n_qubits, cfg.seed)
         calls.clear()
-        batch_gradient(params, features[:rows], labels[:rows], cfg.n_qubits, cfg.layers, 4.0)
-        per_batch.append(len(calls))
+        chosen = slice(offset, offset + rows)
+        batch_gradient(params, features[chosen], labels[chosen], cfg.n_qubits, cfg.layers, 4.0)
+        return len(calls)
+
+    # Four qubits: the tables are built once at new parameters; a second
+    # batch at the same parameters, on other rows, applies no gate at all.
+    _ansatz_tables.cache_clear()
+    cfg = VqcConfig()
+    params = np.random.default_rng(5).uniform(-1.0, 1.0, cfg.num_params)
+    assert applies(cfg, params, 1) > 0
+    assert applies(cfg, params, 25, offset=1) == 0
+    # Five qubits take the sweep: one pass over the stack whatever its rows.
+    cfg = VqcConfig(n_qubits=5)
+    params = np.zeros(cfg.num_params)
+    per_batch = [applies(cfg, params, rows) for rows in (1, 25)]
     assert per_batch[0] > 0
     assert per_batch[0] == per_batch[1]
 
 
-def test_training_paths_agree_exactly():
-    cfg = VqcConfig(n_qubits=2, layers=1, samples=8, batch_size=3, epochs=2, seed=2)
-    inline = train_vqc(cfg)
-    manager = PilotManager(functions={BATCH_GRADIENT_FN: batch_gradient})
-    try:
-        from helpers import local_desc
+def test_batch_gradient_from_cached_tables_matches_fresh_tables():
+    cfg = VqcConfig()
+    features, labels = make_blobs(cfg.samples, cfg.n_qubits, cfg.seed)
+    rng = np.random.default_rng(11)
+    a, b = (rng.uniform(-1.0, 1.0, cfg.num_params) for _ in range(2))
 
-        manager.create_pilot(local_desc("vqc", cores=2))
-        manager.wait_pilots_ready()
-        managed = train_vqc(cfg, manager)
+    def run(params, lo):
+        args = (features[lo : lo + 25], labels[lo : lo + 25], cfg.n_qubits, cfg.layers, 4.0)
+        return batch_gradient(params, *args)
+
+    calls = ((a, 0), (a, 75), (b, 25), (a, 50))
+    _ansatz_tables.cache_clear()
+    cached = [run(params, lo) for params, lo in calls]
+    assert _ansatz_tables.cache_info().hits == 1  # the second call
+    fresh = []
+    for params, lo in calls:
+        _ansatz_tables.cache_clear()
+        fresh.append(run(params, lo))
+    assert cached == fresh
+    unitary, tables = _ansatz_tables(cfg.n_qubits, cfg.layers, tuple(a.tolist()))
+    assert not unitary.flags.writeable and not tables.flags.writeable
+    with pytest.raises(ValueError):
+        tables[0, 0, 0] = 1.0
+
+
+def test_batched_gradient_on_tables_holds_what_its_cap_counts():
+    cfg = VqcConfig()
+    rows = 4096
+    rng = np.random.default_rng(3)
+    features = rng.normal(0.0, 1.0, (rows, cfg.n_qubits))
+    labels = rng.integers(0, 2, rows)
+    params = rng.uniform(-1.0, 1.0, cfg.num_params)
+    _ansatz_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        batch_gradient(params, features, labels, cfg.n_qubits, cfg.layers, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        manager.shutdown()
-    assert np.array_equal(inline.params, managed.params)
-    assert [s.loss for s in inline.history] == [s.loss for s in managed.history]
+        tracemalloc.stop()
+    unitary, tables = _ansatz_tables(cfg.n_qubits, cfg.layers, tuple(params.tolist()))
+    # check_memory_cap counts 3 stacks of rows; add the tables and one chunk.
+    bound = 3 * rows * memory_bytes(cfg.n_qubits) + unitary.nbytes + tables.nbytes
+    assert peak <= bound + 16 * simulate._CHUNK
+
+
+def test_training_paths_agree_exactly():
+    tiny = VqcConfig(n_qubits=2, layers=1, samples=8, batch_size=3, epochs=2, seed=2)
+    # the default shape (4 qubits, 2 layers) takes the tables in each process
+    for cfg in (tiny, VqcConfig(epochs=2)):
+        inline = train_vqc(cfg)
+        manager = PilotManager(functions={BATCH_GRADIENT_FN: batch_gradient})
+        try:
+            from helpers import local_desc
+
+            manager.create_pilot(local_desc("vqc", cores=2))
+            manager.wait_pilots_ready()
+            managed = train_vqc(cfg, manager)
+        finally:
+            manager.shutdown()
+        assert np.array_equal(inline.params, managed.params)
+        assert [s.loss for s in inline.history] == [s.loss for s in managed.history]
 
 
 def test_training_loss_falls_on_tiny_problem():

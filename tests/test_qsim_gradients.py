@@ -9,12 +9,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import parameters
+from helpers import gate_to_matrix, parameters
 from pilotq.errors import MemoryCapExceeded, ValidationError
 from pilotq.qsim.circuit import Circuit, Gate, PauliObservable, sel_circuit
-from pilotq.qsim.gradients import adjoint_gradient
+from pilotq.qsim.gradients import adjoint_gradient, adjoint_sweep, ansatz_tables, table_gradient
 from pilotq.qsim import simulate
-from pilotq.qsim.simulate import expectation, memory_bytes, run_circuit
+from pilotq.qsim.simulate import (
+    apply_gate,
+    apply_observable,
+    apply_unitary,
+    expectation,
+    memory_bytes,
+    outer_sum,
+    run_circuit,
+)
 
 FD_H = 1e-5
 
@@ -138,3 +146,82 @@ def test_gradient_rejects_width_mismatch():
     circ = sel_circuit(2, 1, np.zeros(6))
     with pytest.raises(ValidationError):
         adjoint_gradient(circ, PauliObservable.single(3, {0: "Z"}))
+
+
+def _tables_circuit() -> Circuit:
+    """Three qubits, every rotation kind, an untrainable angle and a shared one."""
+    gates = (
+        Gate("H", (0,)),
+        Gate("RX", (0,), 0.3, param_index=0),
+        Gate("CNOT", (0, 2)),
+        Gate("RY", (2,), 0.7, param_index=1),
+        Gate("RZ", (1,), 0.4),
+        Gate("CZ", (1, 2)),
+        Gate("RZ", (1,), -1.1, param_index=2),
+        Gate("RY", (0,), 0.9, param_index=1),
+        Gate("CNOT", (2, 1)),
+    )
+    return Circuit(3, gates)
+
+
+def test_ansatz_tables_hold_the_unitary_and_generator_conjugates():
+    circ = _tables_circuit()
+    unitary, tables = ansatz_tables(circ)
+    mats = [gate_to_matrix(g, 3) for g in circ.gates]
+    oracle = np.eye(8, dtype=complex)
+    for m in mats:
+        oracle = m @ oracle
+    assert np.max(np.abs(unitary - oracle)) <= 1e-12
+    expected = np.zeros((3, 8, 8), dtype=complex)
+    for k, gate in enumerate(circ.gates):
+        if gate.param_index is None:
+            continue
+        after = np.eye(8, dtype=complex)
+        for m in mats[k + 1 :]:
+            after = m @ after
+        pauli = gate_to_matrix(Gate(gate.generator, gate.qubits), 3)
+        expected[gate.param_index] += after @ pauli @ after.conj().T
+    assert tables.shape == (3, 8, 8)
+    assert np.max(np.abs(tables - expected)) <= 1e-12
+
+
+def test_table_gradient_matches_the_sweep_on_a_row_stack():
+    circ = _tables_circuit()
+    unitary, tables = ansatz_tables(circ)
+    rng = np.random.default_rng(4)
+    kets = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+    kets /= np.sqrt((np.abs(kets) ** 2).sum(axis=1, keepdims=True))
+    obs = PauliObservable(terms=((0.7, "ZIX"), (-1.2, "IYI")))
+    ket = apply_unitary(unitary, kets)
+    bra = apply_observable(ket, obs)
+    swept = kets.copy()
+    for gate in circ.gates:
+        apply_gate(swept, gate)
+    assert np.max(np.abs(ket - swept)) <= 1e-12
+    want = adjoint_sweep(circ.gates, swept, apply_observable(swept, obs), circ.num_params)
+    assert np.max(np.abs(table_gradient(tables, ket, bra) - want)) <= 1e-12
+    single = run_circuit(circ)[None, :]
+    grad = table_gradient(tables, single, apply_observable(single, obs))
+    assert np.max(np.abs(grad - adjoint_gradient(circ, obs))) <= 1e-12
+
+
+def test_row_blocks_do_not_change_the_contractions(monkeypatch):
+    unitary, _ = ansatz_tables(_tables_circuit())
+    rng = np.random.default_rng(9)
+    kets = rng.normal(size=(70, 8)) + 1j * rng.normal(size=(70, 8))
+    bras = rng.normal(size=(70, 8)) + 1j * rng.normal(size=(70, 8))
+    whole = apply_unitary(unitary, kets), outer_sum(bras, kets)
+    monkeypatch.setattr(simulate, "_CHUNK", 2**7)  # blocks of two rows
+    blocked = apply_unitary(unitary, kets), outer_sum(bras, kets)
+    assert np.array_equal(whole[0], blocked[0])
+    assert np.max(np.abs(whole[1] - blocked[1])) <= 1e-12
+    assert np.max(np.abs(whole[1] - bras.conj().T @ kets)) <= 1e-12
+
+
+def test_ansatz_tables_are_capped_by_their_size():
+    circ = sel_circuit(3, 1, np.zeros(9))
+    # 9 tables, the stack, its conjugate and P copy, and an 8-state Gram product
+    need = (9 + 3 + 8) * 8 * memory_bytes(3)
+    ansatz_tables(circ, memory_cap_bytes=need + 1)
+    with pytest.raises(MemoryCapExceeded):
+        ansatz_tables(circ, memory_cap_bytes=need)

@@ -52,7 +52,7 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from pilotq.backends import (
     PilotAllocation,
@@ -74,6 +74,7 @@ from pilotq.model import (
     TaskRecord,
     TaskResult,
     TaskState,
+    evolve,
 )
 from pilotq.qsim.simulate import DEFAULT_MEMORY_CAP_BYTES, sim_qubit_capacity
 from pilotq.store import TaskStore
@@ -353,4 +354,4 @@ class PilotAgent:
             self._clock, latency, simulate_readout,
             qp.circuit, qp.shots, task_seed(tid), qp.observable,
         )
-        return replace(result, exec_s=exec_s)
+        return evolve(result, exec_s=exec_s)

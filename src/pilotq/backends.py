@@ -80,7 +80,7 @@ import sys
 import threading
 import time
 import types
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,29 +242,27 @@ class _HostCores:
         self._waiters: collections.deque[threading.Event] = collections.deque()
         self._processes: list[_HostProcess | None] = [None] * cores
 
-    @contextmanager
-    def held(self):
-        """Hold one core for the block; yields its index."""
+    def held(self) -> "_Hold":
+        """Hold one core for a `with` block, which gets its index."""
+        return _Hold(self)
+
+    def _acquire(self) -> int:
         with self._lock:
-            turn = None
             if self._free and not self._waiters:
-                core = self._free.pop()
+                return self._free.pop()
+            turn = threading.Event()  # set once a release has written turn.core
+            self._waiters.append(turn)
+        turn.wait()
+        return turn.core
+
+    def _release(self, core: int) -> None:
+        with self._lock:
+            if self._waiters:
+                turn = self._waiters.popleft()
+                turn.core = core
+                turn.set()
             else:
-                turn = threading.Event()  # set once a release has written turn.core
-                self._waiters.append(turn)
-        if turn is not None:
-            turn.wait()
-            core = turn.core
-        try:
-            yield core
-        finally:
-            with self._lock:
-                if self._waiters:
-                    turn = self._waiters.popleft()
-                    turn.core = core
-                    turn.set()
-                else:
-                    self._free.append(core)
+                self._free.append(core)
 
     def call(self, fn, args, kwargs):
         """Call `fn` in the host process of a held core, started on the core's
@@ -281,6 +279,22 @@ class _HostCores:
         for child in self._processes:
             if child is not None:
                 child.close()
+
+
+class _Hold:
+    """One `with` block's hold on a core of a `_HostCores`."""
+
+    __slots__ = ("_cores", "_core")
+
+    def __init__(self, cores: _HostCores):
+        self._cores = cores
+
+    def __enter__(self) -> int:
+        self._core = self._cores._acquire()
+        return self._core
+
+    def __exit__(self, *exc) -> None:
+        self._cores._release(self._core)
 
 
 _HOST_CORES = _HostCores(os.cpu_count() or 1)

@@ -47,7 +47,7 @@ def encode(obj: Any) -> Any:
     """Plain JSON data for a record, or for any value a record holds.
 
     Values of the exact types in _PLAIN are returned without a call: this
-    runs once per event line, under the event log's lock.
+    runs once per event line.
     """
     cls = type(obj)
     if cls in _PLAIN:  # exact types: str-valued enums must not match

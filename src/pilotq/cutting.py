@@ -35,6 +35,7 @@ the downstream fragment.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -364,6 +365,23 @@ def generate_subexperiments(plan: CutPlan) -> tuple[list[Subexperiment], Reconst
     return subs, Reconstruction(coeff=obs_coeff, cuts=cuts)
 
 
+def _signs(masks: tuple[int, ...], size: int) -> np.ndarray:
+    """Read-only (len(masks), size) array of ±1: the sign of each outcome
+    index under each mask."""
+    idx = np.arange(size, dtype=np.uint64)
+    parity = np.bitwise_count(idx & np.array(masks, dtype=np.uint64)[:, None]) & 1
+    signs = 1.0 - 2.0 * parity
+    signs.flags.writeable = False
+    return signs
+
+
+# Every run of a fragment has the same masks and width, so its sign rows are
+# built once. Only outputs of up to _CACHED_SIZE outcomes are cached: 64
+# entries of two masks hold at most 4 MiB.
+_CACHED_SIZE = 2**12
+_cached_signs = functools.lru_cache(maxsize=64)(_signs)
+
+
 def fragment_values(
     sub: Subexperiment,
     *,
@@ -379,9 +397,8 @@ def fragment_values(
         probs = np.asarray(list(probabilities), dtype=float)
         if probs.size != 2**sub.circuit.num_qubits:
             raise ValidationError("probability vector length does not match the fragment")
-    idx = np.arange(probs.size, dtype=np.uint64)
-    parity = np.bitwise_count(idx & np.array(sub.masks, dtype=np.uint64)[:, None]) & 1
-    return np.sum(probs * (1.0 - 2.0 * parity), axis=1)
+    signs = (_cached_signs if probs.size <= _CACHED_SIZE else _signs)(sub.masks, probs.size)
+    return (probs * signs).sum(axis=1)
 
 
 def reconstruct(expansion: Reconstruction, values: Sequence[np.ndarray]) -> float:
@@ -460,7 +477,12 @@ def run_cut_workflow(
         )
         for sub in subs
     ]
+    # the runs differ only in width, so one check per width covers them all
+    widths_checked: set[int] = set()
     for sub, desc in zip(subs, descs):
+        if desc.requires_qubits in widths_checked:
+            continue
+        widths_checked.add(desc.requires_qubits)
         if not manager.feasible_pilots(desc):
             raise NoFeasiblePilot(
                 f"no live pilot can run subexperiment {sub.key} "

@@ -1,8 +1,11 @@
 """Structured event log: JSONL stream plus replay helpers.
 
-Every lifecycle step in the middleware appends one EventRecord. Timestamps
-are taken under the log's lock from a monotonic clock, so ts_s is
-non-decreasing within a stream. Who writes which event:
+Every lifecycle step in the middleware appends one EventRecord. The log's
+lock covers only the clock read, the append to the in-memory stream and
+the write of the file line: `emit` builds the record and encodes the rest
+of its line before taking it. Since the stamp is read under the lock from
+a monotonic clock, ts_s is non-decreasing within a stream, and the file's
+lines are in the stream's order. Who writes which event:
 
     TaskStore     task_submitted, task_started (attrs carry the dispatch
                   latency; there is no task_scheduled), task_done,
@@ -25,11 +28,11 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from pilotq.clock import Clock, WallClock
-from pilotq.codec import JsonRecord
+from pilotq.codec import JsonRecord, encode
 from pilotq.model import TaskState
 
 # One compact encoder for every line: json.dumps with non-default
-# separators would build a new encoder per event, under the log's lock.
+# separators would build a new encoder per event.
 _LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -56,18 +59,28 @@ class EventLog:
             self._fh = open(p, "a", encoding="utf-8")
 
     def emit(self, entity: str, entity_id: str, event: str, **attrs) -> EventRecord:
+        # EventRecord has no __post_init__, so emit fills its fields in
+        # itself, every one but the timestamp before taking the lock. attrs
+        # is this call's own dict: its values become strings in place.
+        for k, v in attrs.items():
+            if type(v) is not str:
+                attrs[k] = str(v)
+        rec = object.__new__(EventRecord)
+        fields = rec.__dict__
+        fields["entity"] = entity
+        fields["entity_id"] = entity_id
+        fields["event"] = event
+        fields["attrs"] = attrs
+        # the file line after its timestamp: '{"ts_s":<stamp>' goes in front
+        tail = None if self._fh is None else "," + _LINE_ENCODER.encode(encode(fields))[1:] + "\n"
         with self._lock:
-            rec = EventRecord(
-                ts_s=self._clock.now(),
-                entity=entity,
-                entity_id=entity_id,
-                event=event,
-                attrs={k: str(v) for k, v in attrs.items()},
-            )
+            ts = fields["ts_s"] = self._clock.now()
             self._records.append(rec)
-            if self._fh is not None:
-                self._fh.write(_LINE_ENCODER.encode(rec.to_json_dict()) + "\n")
-            return rec
+            if tail is not None and self._fh is not None:
+                # float.__repr__ is how json spells a finite float
+                stamp = float.__repr__(ts) if type(ts) is float else _LINE_ENCODER.encode(ts)
+                self._fh.write(f'{{"ts_s":{stamp}{tail}')
+        return rec
 
     @property
     def records(self) -> list[EventRecord]:

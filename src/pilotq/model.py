@@ -13,6 +13,14 @@ A retried record returns to NEW with assigned_pilot and the schedule/start
 timestamps cleared; the event log keeps the history. Anything else raises
 IllegalTransition.
 
+Records evolve by copying fields: a step builds its next record with
+`evolve`, which copies the old record's fields and sets the changed ones
+without `__init__` (`dataclasses.replace` runs `fields()` and `__init__` on
+every call, and a task takes three steps). That skips no check, because
+`TaskRecord`, `Timestamps` and `TaskResult` define no `__post_init__`: what
+they hold is a description that checked itself, a clock reading, or a value
+set by `transition`'s own rules. A test keeps them without one.
+
 Every record is a `JsonRecord`: its JSON form comes from the generic codec
 in `pilotq.codec`, driven by the field annotations below, so a field added
 here is serialised without further code.
@@ -29,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from pilotq.codec import JsonRecord
@@ -252,6 +260,19 @@ class TaskRecord(JsonRecord):
         return self.state in TERMINAL_STATES
 
 
+def evolve(record, **changes):
+    """A copy of the frozen record `record` with `changes` set, built
+    without `__init__`, so only for records with no `__post_init__`."""
+    new = object.__new__(type(record))
+    fields = new.__dict__
+    fields.update(record.__dict__)
+    count = len(fields)
+    fields.update(changes)
+    if len(fields) != count:  # a change named no field of the record
+        raise TypeError(f"{type(record).__name__} has no field {set(changes) - set(record.__dict__)}")
+    return new
+
+
 def new_record(desc: TaskDescription, at: float) -> TaskRecord:
     return TaskRecord(description=desc, timestamps=Timestamps(submit_s=at))
 
@@ -274,26 +295,26 @@ def transition(
             raise IllegalTransition(f"cannot schedule from {state.value}")
         if not pilot:
             raise ValidationError("schedule requires a pilot name")
-        return replace(
+        return evolve(
             record,
             state=TaskState.SCHEDULED,
             assigned_pilot=pilot,
-            timestamps=replace(ts, schedule_s=at),
+            timestamps=evolve(ts, schedule_s=at),
         )
 
     if event == "start":
         if state is not TaskState.SCHEDULED:
             raise IllegalTransition(f"cannot start from {state.value}")
-        return replace(record, state=TaskState.RUNNING, timestamps=replace(ts, start_s=at))
+        return evolve(record, state=TaskState.RUNNING, timestamps=evolve(ts, start_s=at))
 
     if event == "complete":
         if state is not TaskState.RUNNING:
             raise IllegalTransition(f"cannot complete from {state.value}")
-        return replace(
+        return evolve(
             record,
             state=TaskState.DONE,
             result=result if result is not None else TaskResult(),
-            timestamps=replace(ts, end_s=at),
+            timestamps=evolve(ts, end_s=at),
         )
 
     if event == "fail":
@@ -301,12 +322,12 @@ def transition(
             raise ValidationError("fail requires an error message")
         if state is TaskState.NEW:
             # Scheduling failures are final: retrying cannot make a pilot fit.
-            return replace(
-                record, state=TaskState.FAILED, error=error, timestamps=replace(ts, end_s=at)
+            return evolve(
+                record, state=TaskState.FAILED, error=error, timestamps=evolve(ts, end_s=at)
             )
         if state in (TaskState.SCHEDULED, TaskState.RUNNING):
             if record.attempt < record.description.max_retries:
-                return replace(
+                return evolve(
                     record,
                     state=TaskState.NEW,
                     assigned_pilot=None,
@@ -315,23 +336,23 @@ def transition(
                     error=None,
                     timestamps=Timestamps(submit_s=ts.submit_s),
                 )
-            return replace(
+            return evolve(
                 record,
                 state=TaskState.FAILED,
                 attempt=record.attempt + 1,
                 error=error,
-                timestamps=replace(ts, end_s=at),
+                timestamps=evolve(ts, end_s=at),
             )
         raise IllegalTransition(f"cannot fail from {state.value}")
 
     if event == "cancel":
         if state not in (TaskState.NEW, TaskState.SCHEDULED):
             raise IllegalTransition(f"cannot cancel from {state.value}")
-        return replace(
+        return evolve(
             record,
             state=TaskState.CANCELED,
             assigned_pilot=None,
-            timestamps=replace(ts, end_s=at),
+            timestamps=evolve(ts, end_s=at),
         )
 
     raise ValidationError(f"unknown lifecycle event: {event!r}")

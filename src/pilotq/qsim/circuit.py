@@ -102,10 +102,12 @@ class Circuit(JsonRecord):
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.num_qubits < 1:
             raise ValidationError("num_qubits must be >= 1")
+        n = self.num_qubits
         indices = []
         for g in self.gates:
-            if any(q < 0 or q >= self.num_qubits for q in g.qubits):
-                raise ValidationError(f"gate {g.name} on {g.qubits} out of range for n={self.num_qubits}")
+            for q in g.qubits:  # plain compares: no generator per gate, no set of n wires
+                if not 0 <= q < n:
+                    raise ValidationError(f"gate {g.name} on {g.qubits} out of range for n={n}")
             if g.param_index is not None:
                 if g.param_index < 0:
                     raise ValidationError("param_index must be >= 0")

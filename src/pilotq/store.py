@@ -59,7 +59,10 @@ class TaskStore:
     ) -> TaskRecord:
         """Apply and log one lifecycle event; raises IllegalTransition if not legal."""
         with self._lock:
-            before = self.get(task_id)
+            try:
+                before = self._records[task_id]
+            except KeyError:
+                raise UnknownTaskId(task_id) from None
             rec = transition(
                 before, event, self._clock.now(), pilot=pilot, result=result, error=error
             )

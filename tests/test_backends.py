@@ -247,6 +247,51 @@ def test_simulations_are_admitted_up_to_the_cores_in_arrival_order(monkeypatch):
     assert peak[0] == cores
 
 
+def test_a_raising_block_still_hands_its_core_on():
+    cores = os.cpu_count() or 1
+    host_cores = backends._HostCores(cores)
+    others = [host_cores.held() for _ in range(cores - 1)]
+    for hold in others:
+        hold.__enter__()
+    got = []
+
+    def wait_for_a_core():
+        with host_cores.held() as core:
+            got.append(core)
+
+    waiter = threading.Thread(target=wait_for_a_core, daemon=True)
+    with pytest.raises(RuntimeError, match="boom"):
+        with host_cores.held() as last:
+            waiter.start()
+            _until(lambda: len(host_cores._waiters) == 1, "the waiter to queue")
+            raise RuntimeError("boom")
+    waiter.join(10.0)
+    assert got == [last]
+    for hold in others:
+        hold.__exit__(None, None, None)
+
+    # 1,000 raising blocks from more threads than cores: every core comes back
+    failures = []
+    n_threads = cores + 2
+
+    def raise_in_blocks():
+        for i in range(-(-1000 // n_threads)):
+            try:
+                with host_cores.held():
+                    raise ValueError(i)
+            except ValueError:
+                continue
+            failures.append(i)
+
+    threads = [threading.Thread(target=raise_in_blocks, daemon=True) for _ in range(n_threads)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30.0)
+    assert not failures and not any(t.is_alive() for t in threads)
+    assert sorted(host_cores._free) == list(range(cores)) and not host_cores._waiters
+
+
 def host_pid():
     return os.getpid()
 

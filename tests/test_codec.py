@@ -1,6 +1,8 @@
 """The generic record codec: every JsonRecord round-trips through JSON text."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -184,6 +186,33 @@ def test_event_log_file_reads_back_as_the_emitted_records(tmp_path):
     assert list(read_events(path)) == emitted
 
 
+def test_concurrent_emits_write_the_file_in_stream_order(tmp_path):
+    # emit encodes each line outside the log's lock; the stamp, the append
+    # and the write stay under it, so the file is the stream, in order
+    path = tmp_path / "events.jsonl"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-emit too
+    try:
+        with EventLog(path) as log:
+            def emit_many(w):
+                for i in range(2000):
+                    log.emit("task", f"w{w}-{i}", "task_done", pilot=f"p{w}", n=i)
+
+            threads = [threading.Thread(target=emit_many, args=(w,)) for w in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+            assert not any(t.is_alive() for t in threads)
+            emitted = log.records
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(emitted) == 8000
+    assert list(read_events(path)) == emitted
+    stamps = [ev.ts_s for ev in emitted]
+    assert stamps == sorted(stamps)
+
+
 def test_event_line_keeps_its_byte_layout(tmp_path):
     path = tmp_path / "events.jsonl"
     with EventLog(path, clock=SimulatedClock(start=1.5)) as log:
@@ -192,3 +221,16 @@ def test_event_line_keeps_its_byte_layout(tmp_path):
         '{"ts_s":1.5,"entity":"task","entity_id":"t0","event":"task_done",'
         '"attrs":{"pilot":"p","exec_s":"0.250000"}}\n'
     )
+
+
+def test_emit_writes_non_str_attrs_and_an_int_stamp_as_json_does(tmp_path):
+    # a simulated clock that waited until an int deadline reads an int; attrs
+    # that are not exact strs, a str-valued enum too, go through str()
+    path = tmp_path / "events.jsonl"
+    clock = SimulatedClock(start=1.5)
+    with EventLog(path, clock=clock) as log:
+        clock.wait_until(threading.Condition(), 3)
+        rec = log.emit("pilot", "p", "agent_stopped", drain=True, kind=TaskKind.ZERO_COMPUTE)
+    assert rec.ts_s == 3 and rec.attrs == {"drain": "True", "kind": str(TaskKind.ZERO_COMPUTE)}
+    assert path.read_text(encoding="utf-8") == json.dumps(rec.to_json_dict(), separators=(",", ":")) + "\n"
+    assert list(read_events(path)) == [rec]

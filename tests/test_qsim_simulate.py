@@ -513,6 +513,18 @@ def test_circuit_validation():
         Circuit(1, (Gate("RX", (0,), 0.1, param_index=1),))  # indices must be dense
 
 
+def test_circuit_range_error_names_the_first_offending_gate():
+    gates = [Gate("H", (q % 4,)) for q in range(40)]
+    for bad in (Gate("CNOT", (2, 4)), Gate("X", (-1,))):
+        with pytest.raises(ValidationError) as err:
+            Circuit(4, (*gates[:20], bad, Gate("H", (9,)), *gates[20:]))
+        assert str(err.value) == f"gate {bad.name} on {bad.qubits} out of range for n=4"
+    # param_index rules still apply past the range check
+    with pytest.raises(ValidationError, match="param_index must be >= 0"):
+        Circuit(4, (*gates, Gate("RX", (1,), 0.1, param_index=-1)))
+    assert Circuit(4, (*gates, Gate("RX", (3,), 0.1, param_index=0))).num_params == 1
+
+
 def test_parameters_and_bind():
     params = np.linspace(0.1, 0.6, 6)
     circ = sel_circuit(2, 1, params)

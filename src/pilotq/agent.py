@@ -9,8 +9,11 @@ qpu_sim pilot's qpu_qubits, and for a classical pilot, which simulates
 in-agent, the widest state the simulator's default memory cap admits. A
 qpu_sim pilot only samples, so a circuit with shots=0 needs a classical
 pilot. `assign` raises ValidationError for a task that does not fit, the
-walltime aside: a task queued on a pilot that expired after placement
-fails WalltimeExpired when a worker takes it.
+walltime aside. A task that a worker pops once the walltime has ended
+fails WalltimeExpired, and the worker hands the rest of the queue back to
+the manager, each task with a task_requeued event, the way a retry goes
+back. An agent built without `on_terminal` has no one to hand them to:
+each fails WalltimeExpired when a worker pops it.
 
 A fixed pool of worker threads pulls tasks off the agent's FIFO queue.
 Admission is core-slot based: the pool has `workers` slots (default: the
@@ -21,11 +24,13 @@ enough slots free up, which preserves dispatch order.
 
 Queued tasks stay NEW; the worker that pulls one drives the
 schedule -> start -> complete/fail transitions through the shared task
-store. That keeps the schedule->start gap (the dispatch overhead) down to
-the worker handoff instead of including queue wait. Cancellation of queued
-work is a queue removal plus a NEW -> CANCELED transition; a task that
-already reached a worker is not cancelable. The store logs the event of
-each transition; the agent itself logs only agent_ready and agent_stopped.
+store. The schedule->start gap (the dispatch latency) lies between two
+of those transitions, made after the worker popped the task, so neither
+the queue wait nor the handoff to the worker is in it. Cancellation of
+queued work is a queue removal plus a NEW -> CANCELED transition; a task
+that already reached a worker is not cancelable. The store logs the event
+of each transition; the agent itself logs agent_ready, agent_stopped and
+the task_requeued of a queue it hands back.
 
 Each worker runs one loop with one stop rule: a cancel stop returns at
 once, a drain stop once the queue is empty, before or after the grant.
@@ -34,7 +39,7 @@ wait out granted_at_s via `clock.wait_until` (the first through logs
 agent_ready), so an idle pilot moves no virtual time. Then it waits for
 runnable work with no timeout, as each change that can end a wait
 notifies; `wait_ready` waits on it too, for the grant or the stop rule.
-The agent refuses dispatch after expires_at_s.
+The agent refuses dispatch from expires_at_s on.
 
 A classical task calls its registered function through
 `backends.run_registered`. A module-level function of an importable module
@@ -131,7 +136,7 @@ class PilotAgent:
         self._backend = backend
         self._on_terminal = on_terminal
 
-        self._cond = threading.Condition()
+        self._cond = threading.Condition(threading.Lock())
         self._queue: deque[tuple[str, TaskDescription]] = deque()
         self._free_slots = workers
         self._running_count = 0
@@ -246,11 +251,12 @@ class PilotAgent:
                 self._notify(rec)
         for t in self._threads:
             t.join()
+        final = self.metrics()  # the workers are gone: these counts are final
         with self._cond:
             if self._final_metrics is None:
                 self._backend.release(self.allocation)
                 self._log.emit("pilot", self.name, "agent_stopped", drain=str(drain).lower())
-                self._final_metrics = self.metrics()
+                self._final_metrics = final
             return self._final_metrics
 
     # --- worker machinery --------------------------------------------------------
@@ -309,7 +315,8 @@ class PilotAgent:
             return None  # canceled between queue pop and schedule
 
         error: str | None = None
-        if self._clock.now() > self.allocation.expires_at_s:
+        if not self.fits(desc):  # assign checked all of it but the walltime
+            self._hand_back_queue()
             error = f"WalltimeExpired: pilot {self.name} walltime ended"
         elif store.try_advance(tid, "start") is None:
             return None
@@ -322,6 +329,21 @@ class PilotAgent:
                 return store.advance(tid, "complete", result=result)
         # a cancel may land between schedule and the walltime check
         return store.try_advance(tid, "fail", error=error[:500])
+
+    def _hand_back_queue(self) -> None:
+        """Give the queued tasks back to the manager once the walltime ended."""
+        if self._on_terminal is None:
+            return
+        reason = f"pilot {self.name} walltime ended"
+        with self._cond:
+            items = list(self._queue)
+            self._queue.clear()
+            self._cond.notify_all()  # a drain stop may now hold
+            # logged under the lock, so a cancel that finds the task gone logs after it
+            for tid, _ in items:
+                self._log.emit("task", tid, "task_requeued", reason=reason)
+        for tid, _ in items:
+            self._notify(self._store.get(tid))  # the manager places it again unless canceled
 
     def _notify(self, record: TaskRecord) -> None:
         if self._on_terminal is not None:

@@ -13,7 +13,8 @@ lines are in the stream's order. Who writes which event:
                   the store transition that causes it
     PilotManager  task_assigned, task_requeued, pilot_created,
                   pilot_removed
-    PilotAgent    agent_ready, agent_stopped
+    PilotAgent    agent_ready, agent_stopped, task_requeued (the queue
+                  of a pilot whose walltime ended)
 
 `replay_task_states` rebuilds the final per-task states from a stream; the
 benchmarks assert that this matches the live records exactly.

@@ -8,10 +8,11 @@ the pilot with fewer assignments so far, then to the smallest name);
 tasks with no feasible pilot right now stay pending, and tasks that no
 configured pilot could *ever* satisfy fail with NoFeasiblePilot. A pass
 reads each live agent's load once and counts its own assignments forward.
-Passes run on submit, on a retry, and on pilot add/remove, plus the
-explicit `schedule_pending` entry point for deterministic batch placement
-in tests. Completions run no pass: a task stays pending only while no live
-pilot fits it, and only `create_pilot` adds a live pilot.
+Passes run on submit, on a retry or a task an expired pilot hands back,
+and on pilot add/remove, plus the explicit `schedule_pending` entry point
+for deterministic batch placement in tests. Completions run no pass: a
+task stays pending only while no live pilot fits it, and only
+`create_pilot` adds a live pilot.
 
 Placement asks each pilot's agent whether it `fits` a task, the one
 feasibility rule (see `pilotq.agent`), and reads the agent's load.
@@ -22,7 +23,8 @@ and with no pilots configured at all every task waits for one to appear.
 `shutdown` cancels whatever is still pending once every pilot is gone.
 The task store writes every task-lifecycle event into the manager's log.
 Descriptions validate themselves when built, so the manager runs no check
-of its own on what it is given.
+of its own on what it is given. Lock order: the manager's plain Lock, then
+an agent's or the store's, then the log's (see `pilotq.store`).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from pilotq.agent import AgentMetrics, PilotAgent
 from pilotq.backends import ResourceBackend
 from pilotq.clock import Clock, WallClock
-from pilotq.errors import DuplicatePilotName, IllegalTransition, UnknownPilot
+from pilotq.errors import DuplicatePilotName, UnknownPilot
 from pilotq.events import EventLog
 from pilotq.model import PilotDescription, TaskDescription, TaskRecord, TaskState, new_record
 from pilotq.store import TaskStore
@@ -68,7 +70,7 @@ class PilotManager:
         self._functions = dict(functions or {})
         self._auto = auto_schedule
         self._store = TaskStore(self._clock, self._log)
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._pilots: dict[str, PilotAgent] = {}
         self._configured: dict[str, PilotAgent] = {}
         self._pending: deque[str] = deque()
@@ -185,22 +187,16 @@ class PilotManager:
 
     def cancel(self, task_id: str) -> CancelOutcome:
         with self._lock:
-            rec = self._store.get(task_id)
-            if rec.state in (TaskState.NEW, TaskState.SCHEDULED):
-                # at most one live agent holds the task in its queue
-                for agent in self._pilots.values():
-                    if agent.cancel_queued(task_id):
-                        break
-                try:
-                    final = self._store.advance(task_id, "cancel", reason="user request")
-                except IllegalTransition:
-                    return CancelOutcome(self._store.get(task_id), False)
-                try:
-                    self._pending.remove(task_id)
-                except ValueError:
-                    pass
-                return CancelOutcome(final, True)
-            return CancelOutcome(rec, False)
+            # at most one live agent holds the task in its queue
+            for agent in self._pilots.values():
+                if agent.cancel_queued(task_id):
+                    break
+            final = self._store.try_advance(task_id, "cancel", reason="user request")
+            if final is None:
+                return CancelOutcome(self._store.get(task_id), False)
+            if task_id in self._pending:
+                self._pending.remove(task_id)
+            return CancelOutcome(final, True)
 
     def task(self, task_id: str) -> TaskRecord:
         return self._store.get(task_id)
@@ -251,7 +247,8 @@ class PilotManager:
 
     def _on_agent_terminal(self, record: TaskRecord) -> None:
         if record.state is TaskState.NEW:
-            # failed attempt with retries left: back into the queue
+            # a failed attempt with retries left, or a task from the queue of
+            # a pilot whose walltime ended: back into the queue
             with self._lock:
                 self._pending.append(record.task_id)
                 if self._auto:

@@ -5,7 +5,8 @@ All record mutations funnel through `advance`, which applies the pure
 condition until the ids they care about reach terminal states. The store
 is the only writer of task-lifecycle events: each is logged inside the
 locked section of the transition that causes it, before waiters wake, so
-the log never lags the records. Lock order: store lock, then log lock.
+the log never lags the records. No lock is re-entrant. Lock order: manager,
+then an agent or the store, then the log, then the clock or a host core.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class TaskStore:
         self._clock = clock or WallClock()
         self._log = log or EventLog(clock=self._clock)
         self._records: dict[str, TaskRecord] = {}
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._terminal_event = threading.Condition(self._lock)
 
     def add(self, record: TaskRecord) -> None:
@@ -91,12 +92,11 @@ class TaskStore:
             return rec
 
     def try_advance(self, task_id: str, event: str, **kwargs) -> TaskRecord | None:
-        """Like advance, but returns None when the event is not legal."""
-        with self._lock:
-            try:
-                return self.advance(task_id, event, **kwargs)
-            except IllegalTransition:
-                return None
+        """`advance`, or None when the event is not legal."""
+        try:
+            return self.advance(task_id, event, **kwargs)
+        except IllegalTransition:
+            return None
 
     def wait_terminal(self, task_ids, timeout: float | None = None) -> bool:
         """Block until every id is terminal; False on timeout.
@@ -106,7 +106,10 @@ class TaskStore:
         timestamps. Terminal states are final: a terminal id is not rechecked.
         """
         with self._lock:
-            pending = deque(tid for tid in task_ids if not self.get(tid).terminal)
+            try:
+                pending = deque(tid for tid in task_ids if not self._records[tid].terminal)
+            except KeyError as exc:
+                raise UnknownTaskId(exc.args[0]) from None
 
             def settled() -> bool:
                 while pending and self._records[pending[0]].terminal:

@@ -427,6 +427,13 @@ def test_worker_count_cannot_exceed_allocation_cores():
         PilotAgent(alloc, workers=3, backend=be)
 
 
+def test_an_agent_needs_at_least_one_worker():
+    be = ResourceBackend()
+    alloc = be.provision(local_desc("p", cores=2))
+    with pytest.raises(WorkerOversubscription, match="workers must be >= 1"):
+        PilotAgent(alloc, workers=0, backend=be)
+
+
 def test_startup_delay_gates_readiness():
     clock = SimulatedClock(start=0.0)
     be = ResourceBackend(clock=clock)

@@ -1,5 +1,6 @@
 """Benchmark runners: metrics bookkeeping, CSV/session plumbing, VQC training."""
 
+import dataclasses
 import json
 import math
 import threading
@@ -8,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import classifier_circuit, nontiming_columns, read_csv
+from helpers import classifier_circuit, local_desc, nontiming_columns, read_csv
 from pilotq.bench.runners import (
     RunMetrics,
     cmd_circuits,
@@ -493,6 +494,18 @@ def test_batched_gradient_rejects_a_short_feature_row():
             batch_gradient(np.zeros(6), features, [0, bad], 2, 1, 4.0)
 
 
+@pytest.mark.parametrize(
+    "labels,params,match",
+    [
+        pytest.param([0], np.zeros(6), "2 feature rows but 1 labels", id="label_count"),
+        pytest.param([0, 1], np.zeros(5), "6 parameters required", id="param_shape"),
+    ],
+)
+def test_batched_gradient_rejects_mismatched_inputs(labels, params, match):
+    with pytest.raises(ValidationError, match=match):
+        batch_gradient(params, [[0.1, 0.2], [0.3, 0.4]], labels, 2, 1, 4.0)
+
+
 def test_batched_gradient_applies_each_gate_once_per_batch(monkeypatch):
     calls = []
     apply = simulate._apply
@@ -588,6 +601,39 @@ def test_training_paths_agree_exactly():
             manager.shutdown()
         assert np.array_equal(inline.params, managed.params)
         assert [s.loss for s in inline.history] == [s.loss for s in managed.history]
+
+
+def test_momentum_training_agrees_inline_and_on_a_pilot():
+    cfg = VqcConfig(optimizer="momentum", epochs=3)
+    inline = train_vqc(cfg)
+    manager = PilotManager(functions={BATCH_GRADIENT_FN: batch_gradient})
+    try:
+        manager.create_pilot(local_desc("vqc", cores=2))
+        managed = train_vqc(cfg, manager)
+    finally:
+        manager.shutdown()
+    assert np.array_equal(inline.params, managed.params)
+    assert [s.loss for s in inline.history] == [s.loss for s in managed.history]
+
+    # the first two updates: v <- mu v - eta g, theta <- theta + v
+    features, labels = make_blobs(cfg.samples, cfg.n_qubits, cfg.seed)
+
+    def mean_grad(params):
+        grad = np.zeros_like(params)
+        for lo, hi in _batch_slices(cfg.samples, cfg.batch_size):
+            out = batch_gradient(
+                params, features[lo:hi], labels[lo:hi], cfg.n_qubits, cfg.layers, cfg.softmax_scale
+            )
+            grad += np.asarray(out["grad"])
+        return grad / cfg.samples
+
+    theta = np.random.default_rng(cfg.seed + 1).uniform(-0.1, 0.1, cfg.num_params)
+    velocity = np.zeros_like(theta)
+    for epochs in (1, 2):
+        velocity = cfg.momentum * velocity - cfg.learning_rate * mean_grad(theta)
+        theta = theta + velocity
+        trained = train_vqc(dataclasses.replace(cfg, epochs=epochs)).params
+        np.testing.assert_allclose(trained, theta, rtol=0, atol=1e-12)
 
 
 def test_training_loss_falls_on_tiny_problem():

@@ -170,6 +170,7 @@ def test_cut_config_max_width_may_be_a_string(tmp_path, monkeypatch):
         ("cut", {"max_width": 2.5}),
         ("throughput", {"worker": 2}),
         ("gradients", {"log": "g.jsonl"}),
+        ("vqc", {"lr": True}),
     ],
 )
 def test_non_numeric_config_value_exits_one(tmp_path, monkeypatch, capsys, command, config):
@@ -190,6 +191,7 @@ def test_non_numeric_config_value_exits_one(tmp_path, monkeypatch, capsys, comma
         (("cut", "--seed", "-1"), "validation error: "),
         (("gradients", "--log", "g.jsonl"), "error: "),
         (("throughput", "--tasks", "4,4", "--workers", "2"), "validation error: "),
+        (("gradients", "--layers", "0"), "validation error: "),
     ],
 )
 def test_bad_flag_value_exits_one(tmp_path, monkeypatch, capsys, argv, prefix):

@@ -196,6 +196,35 @@ def test_rejects_body_gates_spanning_the_boundary():
         find_cuts(Circuit(4, gates), PauliObservable.single(4, {0: "Z"}), max_width=4)
 
 
+@pytest.mark.parametrize(
+    "build,error,match",
+    [
+        pytest.param(lambda: clustered_circuit([]), ValidationError, "cluster_sizes", id="no_clusters"),
+        pytest.param(lambda: clustered_circuit([2, 0]), ValidationError, "cluster_sizes", id="empty_cluster"),
+        pytest.param(
+            lambda: find_cuts(clustered_circuit([2, 2]), PauliObservable.single(4, {0: "Z"}), max_width=1),
+            ValidationError,
+            "max_width",
+            id="max_width_1",
+        ),
+        pytest.param(
+            # one trailing CNOT(1, 2) puts a boundary after qubit 1; the body's copy crosses it
+            lambda: find_cuts(
+                Circuit(4, (Gate("CNOT", (1, 2)), Gate("H", (0,)), Gate("CNOT", (1, 2)))),
+                PauliObservable.single(4, {0: "Z"}),
+                max_width=4,
+            ),
+            NotCutFriendly,
+            "spans a cluster boundary",
+            id="body_gate_spans_boundary",
+        ),
+    ],
+)
+def test_rejects_a_bad_cutting_input(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 def test_rejects_fragments_wider_than_the_budget():
     circ = clustered_circuit([4, 4], reps=1, seed=0)
     obs = PauliObservable.single(8, {0: "Z"})

@@ -5,9 +5,11 @@ Every name a pilotq module imports is used in that module, and every private
 somewhere in the package, and no module imports another pilotq module's
 private name. The task store is the only module that writes
 task-lifecycle events: outside `store.py`, every `.emit(...)` names its
-event with a string literal, and never a lifecycle one. No linter ships
-with the project, so these walk each module's AST instead. The import scan
-skips package `__init__` modules: their imports are re-exports.
+event with a string literal, and never a lifecycle one. No lock is
+re-entrant: no module builds an RLock, or a Condition on its default RLock.
+No linter ships with the project, so these walk each module's AST instead.
+The import scan skips package `__init__` modules: their imports are
+re-exports.
 """
 
 import ast
@@ -232,6 +234,43 @@ def test_the_emit_scan_flags_lifecycle_and_computed_events():
         'log.emit_later("task", tid, "task_failed")\n'
     )
     assert lifecycle_emits(source) == [3, 4, 5]
+
+
+def reentrant_locks(source: str) -> list[int]:
+    """Lines that build an RLock, or a Condition without an explicit lock."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "RLock" or (name == "Condition" and not (node.args or node.keywords)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_lock_is_reentrant():
+    found = {
+        str(path.relative_to(PACKAGE)): lines
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (lines := reentrant_locks(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_the_lock_scan_flags_rlocks_and_default_conditions():
+    source = (
+        "import threading\n"
+        "a = threading.RLock()\n"
+        "b = threading.Condition()\n"
+        "c = threading.Condition(threading.Lock())\n"
+        "d = threading.Condition(lock=a)\n"
+        "from threading import Condition, RLock\n"
+        "e = RLock()\n"
+        "f = Condition()\n"
+        "g = threading.Lock()\n"
+    )
+    assert reentrant_locks(source) == [2, 3, 7, 8]
 
 
 def test_importing_pilotq_leaves_multiprocessing_connection_unloaded():

@@ -95,6 +95,15 @@ def test_unknown_task_lookup_raises(manager):
         manager.task("missing")
 
 
+def test_advancing_or_canceling_an_unknown_task_raises(manager):
+    with pytest.raises(UnknownTaskId):
+        manager.store.advance("missing", "cancel")
+    with pytest.raises(UnknownTaskId):
+        manager.store.try_advance("missing", "cancel")
+    with pytest.raises(UnknownTaskId):
+        manager.cancel("missing")
+
+
 def test_pilot_name_can_be_reused_after_removal(manager):
     manager.create_pilot(local_desc("p"))
     manager.remove_pilot("p")
@@ -722,6 +731,59 @@ def test_a_pilot_that_expires_between_fits_and_assign_raises_nowhere(monkeypatch
             assert record.state is TaskState.FAILED
             assert record.assigned_pilot == pilot
             assert record.error.startswith("WalltimeExpired")
+    finally:
+        manager.shutdown()
+
+
+def test_a_worker_starts_no_task_once_placement_refuses_its_pilot():
+    # At now == expires_at_s the walltime has ended for placement and for dispatch alike.
+    clock = SimulatedClock()
+    manager = PilotManager(clock=clock, functions={"one": lambda: 1})
+    try:
+        manager.create_pilot(local_desc("p", cores=1, latency_s=5.0, walltime_s=10.0))
+        ids = [manager.submit_task(fn_task(f"w{i}")) for i in range(3)]
+        assert manager.wait(ids, timeout=5.0).complete
+        assert manager.feasible_pilots(fn_task("t")) == []
+        records = [manager.task(t) for t in ids]
+        assert [r.state for r in records] == [TaskState.DONE, TaskState.DONE, TaskState.FAILED]
+        assert records[2].error.startswith("WalltimeExpired")
+        assert records[2].timestamps.start_s is None
+        assert records[2].timestamps.end_s == 10.0
+        assert clock.now() == 10.0
+    finally:
+        manager.shutdown()
+
+
+@pytest.mark.parametrize("simulated", [False, True], ids=["wall", "simulated"])
+def test_an_expired_pilot_hands_its_queue_back(simulated):
+    # One worker, 6 s per task, a 10 s walltime (0.06 s and 0.1 s on the wall
+    # clock): the task popped after expiry fails, the rest go to the live pilot.
+    clock = SimulatedClock() if simulated else None
+    scale = 1.0 if simulated else 0.01
+    manager = PilotManager(clock=clock, functions={"one": lambda: 1})
+    try:
+        manager.create_pilot(
+            local_desc("a", cores=1, latency_s=6.0 * scale, walltime_s=10.0 * scale)
+        )
+        ids = [manager.submit_task(fn_task(f"w{i}")) for i in range(5)]
+        manager.create_pilot(local_desc("b", cores=1))
+        assert manager.wait(ids, timeout=10.0).complete
+        records = [manager.task(t) for t in ids]
+        failed = [i for i, r in enumerate(records) if r.state is TaskState.FAILED]
+        if simulated:
+            assert failed == [2]
+        assert len(failed) == 1  # only the task a worker had popped
+        expired = records[failed[0]]
+        assert expired.assigned_pilot == "a" and expired.error.startswith("WalltimeExpired")
+        before, after = records[: failed[0]], records[failed[0] + 1 :]
+        assert all(r.state is TaskState.DONE and r.assigned_pilot == "a" for r in before)
+        assert after and all(r.state is TaskState.DONE and r.assigned_pilot == "b" for r in after)
+        events = manager.log.records
+        requeued = [(e.entity_id, e.attrs) for e in events if e.event == "task_requeued"]
+        assert requeued == [(r.task_id, {"reason": "pilot a walltime ended"}) for r in after]
+        assert audit_events(events, sim_qubits=SIM_QUBITS) == []
+        live = {tid: rec.state for tid, rec in manager.store.snapshot().items()}
+        assert replay_task_states(events) == live
     finally:
         manager.shutdown()
 

@@ -489,6 +489,20 @@ def test_run_circuit_enforces_the_cap():
 # --- circuit and observable types ----------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: random_circuit(0, 1, seed=0), id="random_no_qubits"),
+        pytest.param(lambda: random_circuit(2, -1, seed=0), id="random_negative_depth"),
+        pytest.param(lambda: efficient_su2(2, -1, []), id="su2_negative_reps"),
+        pytest.param(lambda: sel_circuit(0, 1, []), id="sel_no_qubits"),
+    ],
+)
+def test_circuit_builders_reject_a_bad_shape(build):
+    with pytest.raises(ValidationError, match="required"):
+        build()
+
+
 def test_gate_validation():
     with pytest.raises(ValidationError):
         Gate("SWAP", (0, 1))
